@@ -5,15 +5,16 @@
 //
 // The service hash-partitions incoming keyword queries across
 // QConfig::num_shards engine shards, each with its own executor thread,
-// batcher, ATCs, and retained-state cache. Routing is stable (the same
-// logical query — any term order or casing — always lands on the shard
-// that holds its reusable state), and every outcome is canonicalized
+// batcher, ATCs, and retained-state cache, all over one shared dataset.
+// Routing is stable (the same logical query — any term order or casing
+// — always lands on the shard that holds its reusable state), and
+// every outcome is canonicalized
 // through the cross-shard RankMerger, so the ranking a client sees is
 // byte-identical to what a single-engine service would deliver.
 //
 // The walkthrough below:
-//   1. replicates a small bioinformatics catalog into every shard with
-//      QueryService::BuildEachEngine(),
+//   1. builds a small bioinformatics catalog once, shared by every
+//      shard, with QueryService::BuildEachEngine(),
 //   2. serves overlapping keyword queries from three client threads,
 //   3. prints which shard executed each query (QueryOutcome::shard) and
 //      shows that term-order variants co-locate,
@@ -112,7 +113,7 @@ Status BuildCatalog(Engine& engine) {
 }  // namespace
 
 int main() {
-  // 1. Configure a 3-shard service and replicate the catalog.
+  // 1. Configure a 3-shard service and build the shared catalog.
   ServiceOptions options;
   options.config.k = 3;
   options.config.batch_size = 4;

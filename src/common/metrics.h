@@ -205,14 +205,11 @@ static_assert(sizeof(SpillStats) == 8 * sizeof(int64_t),
               "QueryService::AggregateSpillGauges, and the mirror test "
               "in tests/obs_test.cc");
 
-/// \brief Per-shard routing-decision counters for partitioned
-/// placement: how many queries a shard executed entirely from its own
-/// data slice (local) vs. how many had to scatter across shards
-/// because their terms span partition owners. A placement regression —
-/// a workload suddenly scattering everywhere — shows up here (and in
-/// the qsys_route_*_total Prometheus families) before it shows up as
-/// lost sharing. Plain snapshot struct; the service keeps the atomic
-/// originals.
+/// \brief Per-shard routing-decision counters: how many queries were
+/// routed whole to a shard (local) vs. how many scattered queries were
+/// attributed to it (ShardAffinity::kScatterCqs). Exported as the
+/// qsys_route_*_total Prometheus families. Plain snapshot struct; the
+/// service keeps the atomic originals.
 struct RouteStats {
   int64_t local = 0;
   int64_t scatter = 0;
@@ -250,12 +247,8 @@ struct ServiceCounters {
   /// Queries resolved kDeadlineExceeded because their deadline expired
   /// before a shard delivered the answer.
   std::atomic<int64_t> deadline_exceeded{0};
-  /// Queries answered best-effort over surviving partitions
-  /// (QueryOutcome::degraded): the dead shard's owned terms were
-  /// unreachable, so the top-k covers only the surviving slices.
-  std::atomic<int64_t> degraded{0};
-  /// Shard engines torn down and rebuilt by the supervisor after a
-  /// crash (replicated placement only).
+  /// Shard engines torn down and replaced by the supervisor after a
+  /// crash.
   std::atomic<int64_t> shard_restarts{0};
 
   // -- spill-tier gauges, mirrored from the engine's SpillStats after

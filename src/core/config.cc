@@ -28,14 +28,4 @@ const char* ShardAffinityName(ShardAffinity a) {
   return "?";
 }
 
-const char* PlacementModeName(PlacementMode m) {
-  switch (m) {
-    case PlacementMode::kReplicated:
-      return "replicated";
-    case PlacementMode::kPartitioned:
-      return "partitioned";
-  }
-  return "?";
-}
-
 }  // namespace qsys

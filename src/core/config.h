@@ -51,22 +51,6 @@ enum class ShardAffinity {
 
 const char* ShardAffinityName(ShardAffinity a);
 
-/// \brief How shard engines hold data (src/core/placement.h).
-enum class PlacementMode {
-  /// Every shard builds and holds the full dataset (the dataset builder
-  /// runs once per shard). Sharding scales CPU, not data.
-  kReplicated,
-  /// The dataset is built once; each shard is resident only for the
-  /// hash-partitioned slice of the inverted index and base tables it
-  /// owns (src/storage/partition.h). The router sends a query to the
-  /// shard owning all of its terms, or scatters it across shards when
-  /// the terms span owners. Per-UQ top-k answers stay byte-equivalent
-  /// to replicated single-shard execution.
-  kPartitioned,
-};
-
-const char* PlacementModeName(PlacementMode m);
-
 /// \brief Top-level configuration for a QSystem instance.
 struct QConfig {
   SharingConfig sharing = SharingConfig::kAtcFull;
@@ -119,18 +103,13 @@ struct QConfig {
   int spill_pool_frames = 64;
 
   /// Serving-layer sharding (src/shard/): number of independent Engines
-  /// behind one QueryService, each with its own executor thread,
-  /// batcher, ATCs, state manager, and (optional) spill tier. 1 keeps
-  /// the single-engine behavior; the simulator (QSystem) ignores this.
+  /// behind one QueryService, all over one shared dataset, each with
+  /// its own executor thread, batcher, ATCs, state manager, and
+  /// (optional) spill tier. 1 keeps the single-engine behavior; the
+  /// simulator (QSystem) ignores this.
   int num_shards = 1;
   /// How queries are routed across shards (ignored when num_shards=1).
   ShardAffinity shard_affinity = ShardAffinity::kSignatureHash;
-  /// Whether each shard replicates the full dataset or owns only its
-  /// hash-partitioned slice. Partitioned mode shrinks per-shard
-  /// resident data as num_shards grows; kScatterCqs affinity still
-  /// scatters every query, other affinities are overridden by the
-  /// ownership-based routing decision.
-  PlacementMode placement = PlacementMode::kReplicated;
 
   /// Intra-shard parallelism (multi-core epochs): number of executors
   /// driving one engine's ATC scheduling rounds concurrently. The

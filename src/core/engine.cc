@@ -2,17 +2,16 @@
 
 #include <algorithm>
 
-#include "src/core/placement.h"
-
 namespace qsys {
 
 constexpr VirtualTime Engine::kNeverUs;
 
-Engine::Engine(QConfig config)
+Engine::Engine(QConfig config, std::shared_ptr<Dataset> dataset)
     : config_(config),
+      data_(std::move(dataset)),
       batcher_(config.batch_size, config.batch_window_us) {
   delays_ = std::make_unique<DelayModel>(config_.delays, config_.seed);
-  sources_ = std::make_unique<SourceManager>(&catalog_);
+  sources_ = std::make_unique<SourceManager>(&data_->catalog);
   state_manager_ = std::make_unique<StateManager>(
       sources_.get(), config_.memory_budget_bytes, config_.eviction);
   if (!config_.spill_dir.empty()) {
@@ -28,32 +27,11 @@ Engine::Engine(QConfig config)
       spill_status_ = spill.status();
     }
   }
-  grafter_ = std::make_unique<PlanGrafter>(&catalog_, sources_.get(),
+  grafter_ = std::make_unique<PlanGrafter>(&data_->catalog, sources_.get(),
                                            state_manager_.get());
 }
 
 Engine::~Engine() = default;
-
-void Engine::AttachPlacement(const DataPlacement* placement, int shard) {
-  placement_ = placement;
-  placement_shard_ = shard;
-  // Rebind every catalog consumer built by the constructor to the
-  // placement's shared catalog. The spill tier (opened against the
-  // config, not the catalog) carries over to the fresh state manager.
-  sources_ = std::make_unique<SourceManager>(&placement->catalog());
-  state_manager_ = std::make_unique<StateManager>(
-      sources_.get(), config_.memory_budget_bytes, config_.eviction);
-  if (spill_manager_ != nullptr) {
-    state_manager_->AttachSpill(spill_manager_.get(), &delays_->params());
-  }
-  grafter_ = std::make_unique<PlanGrafter>(&placement->catalog(),
-                                           sources_.get(),
-                                           state_manager_.get());
-}
-
-const Catalog& Engine::data_catalog() const {
-  return placement_ != nullptr ? placement_->catalog() : catalog_;
-}
 
 void Engine::SetObservability(Tracer* tracer, MetricsRegistry* metrics,
                               int shard) {
@@ -71,45 +49,28 @@ void Engine::set_journal(DecisionJournal* journal) {
 }
 
 SchemaGraph& Engine::InitSchemaGraph() {
-  if (!schema_graph_) {
-    schema_graph_ = std::make_unique<SchemaGraph>(&catalog_);
+  if (!data_->schema_graph) {
+    data_->schema_graph = std::make_unique<SchemaGraph>(&data_->catalog);
   }
-  return *schema_graph_;
+  return *data_->schema_graph;
 }
 
 Status Engine::FinalizeCatalog() {
   if (finalized_) return Status::OK();
-  if (placement_ != nullptr) {
-    // Partitioned shard: the dataset lives in the placement. Resident
-    // here is only this shard's index slice (whole per-term posting
-    // lists, so slice-local generation of locally-routed queries is
-    // bit-identical to full-index generation). The optimizer reads the
-    // placement's FULL index — plan choices must match the
-    // single-shard oracle's, or costing (not answers) would drift.
-    inverted_index_ = std::make_unique<InvertedIndex>(
-        placement_->BuildIndexSlice(placement_shard_));
-    matcher_ = std::make_unique<KeywordMatcher>(inverted_index_.get(),
-                                                &placement_->catalog());
-    candidate_gen_ = std::make_unique<CandidateGenerator>(
-        &placement_->schema_graph(), matcher_.get());
-    optimizer_ = std::make_unique<Optimizer>(
-        &placement_->catalog(), &placement_->full_index(), sources_.get(),
-        &state_manager_->observed_stats(), config_.delays);
-    finalized_ = true;
-    return Status::OK();
-  }
-  if (!schema_graph_) {
+  if (!data_->schema_graph) {
     return Status::FailedPrecondition("InitSchemaGraph() not called");
   }
-  catalog_.FinalizeAll();
-  inverted_index_ =
-      std::make_unique<InvertedIndex>(InvertedIndex::Build(catalog_));
-  matcher_ = std::make_unique<KeywordMatcher>(inverted_index_.get(),
-                                              &catalog_);
-  candidate_gen_ = std::make_unique<CandidateGenerator>(schema_graph_.get(),
-                                                        matcher_.get());
+  if (data_->inverted_index == nullptr) {
+    data_->catalog.FinalizeAll();
+    data_->inverted_index = std::make_unique<InvertedIndex>(
+        InvertedIndex::Build(data_->catalog));
+  }
+  matcher_ = std::make_unique<KeywordMatcher>(data_->inverted_index.get(),
+                                              &data_->catalog);
+  candidate_gen_ = std::make_unique<CandidateGenerator>(
+      data_->schema_graph.get(), matcher_.get());
   optimizer_ = std::make_unique<Optimizer>(
-      &catalog_, inverted_index_.get(), sources_.get(),
+      &data_->catalog, data_->inverted_index.get(), sources_.get(),
       &state_manager_->observed_stats(), config_.delays);
   finalized_ = true;
   return Status::OK();
@@ -167,7 +128,7 @@ Atc* Engine::GetOrCreateAtc(int index_hint, VirtualTime start_time) {
   uint64_t seed = config_.seed;
   if (id > 0) seed ^= 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(id);
   auto atc = std::make_unique<Atc>(
-      id, &data_catalog(),
+      id, &data_->catalog,
       std::make_unique<DelayModel>(config_.delays, seed),
       config_.adaptive_probing);
   atc->clock().AdvanceTo(start_time);

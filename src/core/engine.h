@@ -1,12 +1,13 @@
 // Engine: the sharing pipeline of the Q System, decoupled from any
 // particular notion of time.
 //
-// The Engine owns the simulated remote databases (catalog + schema graph
-// + inverted index), the keyword front end, the query batcher, the
-// multiple-query optimizer, the query state manager, and one or more
-// ATCs. It exposes the timeline-replay loop as a single reusable
-// primitive, Step(): process the one earliest pending event — a batch
-// flush or one ATC scheduling round — and report what happened.
+// The Engine reads the simulated remote databases (catalog + schema
+// graph + inverted index) through a Dataset it builds or shares, and
+// owns the keyword front end, the query batcher, the multiple-query
+// optimizer, the query state manager, and one or more ATCs. It exposes
+// the timeline-replay loop as a single reusable primitive, Step():
+// process the one earliest pending event — a batch flush or one ATC
+// scheduling round — and report what happened.
 //
 // Two drivers sit on top of this single code path:
 //
@@ -54,7 +55,17 @@
 
 namespace qsys {
 
-class DataPlacement;
+/// \brief The simulated remote databases (catalog + schema graph) and
+/// their keyword index. One engine builds it; it is immutable after
+/// that engine's FinalizeCatalog(), so any number of engines may then
+/// execute against it read-only (the sharded service gives every shard
+/// the same one, and a restarted shard reuses it).
+struct Dataset {
+  Catalog catalog;
+  std::unique_ptr<SchemaGraph> schema_graph;
+  /// Built by FinalizeCatalog(); null before.
+  std::unique_ptr<InvertedIndex> inverted_index;
+};
 
 /// \brief One record of a multiple-query-optimization run (Figure 11).
 struct OptimizationRecord {
@@ -111,7 +122,11 @@ class Engine {
   static constexpr VirtualTime kNeverUs =
       std::numeric_limits<VirtualTime>::max();
 
-  explicit Engine(QConfig config);
+  /// An engine over `dataset`: by default a fresh, empty one that this
+  /// engine builds; otherwise one another engine already finalized,
+  /// which this engine only reads.
+  explicit Engine(QConfig config, std::shared_ptr<Dataset> dataset =
+                                      std::make_shared<Dataset>());
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -122,37 +137,25 @@ class Engine {
 
   /// The simulated remote databases. Register all tables, then call
   /// InitSchemaGraph() to add join edges, then FinalizeCatalog().
-  Catalog& catalog() { return catalog_; }
-  const Catalog& catalog() const { return catalog_; }
+  Catalog& catalog() { return data_->catalog; }
+  const Catalog& catalog() const { return data_->catalog; }
 
   /// Creates the schema graph (requires all tables registered).
   SchemaGraph& InitSchemaGraph();
-  SchemaGraph& schema_graph() { return *schema_graph_; }
+  SchemaGraph& schema_graph() { return *data_->schema_graph; }
 
-  /// Finalizes tables, builds the inverted index and the keyword front
-  /// end. Must be called once before ingesting queries; idempotent.
-  /// With a placement attached, the engine instead points its front end
-  /// and optimizer at the placement's shared dataset and builds only
-  /// this shard's resident index slice — its own catalog stays empty.
+  /// Finalizes tables and builds the inverted index (unless the dataset
+  /// is already finalized), then builds this engine's keyword front end
+  /// and optimizer over it. Must be called once before ingesting
+  /// queries; idempotent.
   Status FinalizeCatalog();
   bool finalized() const { return finalized_; }
 
-  InvertedIndex& inverted_index() { return *inverted_index_; }
+  InvertedIndex& inverted_index() { return *data_->inverted_index; }
 
-  /// Switches this engine to partitioned placement: it executes
-  /// against `placement`'s shared catalog as shard `shard`, and
-  /// FinalizeCatalog() builds the shard's index slice instead of a
-  /// full index. Rebinds the source manager, state manager (spill tier
-  /// re-attached), and grafter to the placement catalog, so call this
-  /// right after construction — before any dataset building,
-  /// observability attachment, or FinalizeCatalog(). `placement` must
-  /// outlive the engine.
-  void AttachPlacement(const DataPlacement* placement, int shard);
-
-  /// The catalog execution reads: the placement's shared catalog when
-  /// one is attached, this engine's own otherwise.
-  const Catalog& data_catalog() const;
-  const DataPlacement* placement() const { return placement_; }
+  /// The dataset this engine executes against, for constructing other
+  /// engines over it.
+  const std::shared_ptr<Dataset>& dataset() const { return data_; }
 
   // ---- admission ----
 
@@ -363,13 +366,7 @@ class Engine {
   void DrainCompletionQueue();
 
   QConfig config_;
-  Catalog catalog_;
-  /// Partitioned placement (nullptr in replicated mode): the shared
-  /// dataset this engine executes against as shard placement_shard_.
-  const DataPlacement* placement_ = nullptr;
-  int placement_shard_ = 0;
-  std::unique_ptr<SchemaGraph> schema_graph_;
-  std::unique_ptr<InvertedIndex> inverted_index_;
+  std::shared_ptr<Dataset> data_;
   std::unique_ptr<KeywordMatcher> matcher_;
   std::unique_ptr<CandidateGenerator> candidate_gen_;
   std::unique_ptr<DelayModel> delays_;

@@ -226,10 +226,6 @@ std::string RenderPrometheus(const MetricsRegistry& metrics,
        counters.retries.load(std::memory_order_relaxed)},
       {"deadline_exceeded", "Queries resolved past their deadline",
        counters.deadline_exceeded.load(std::memory_order_relaxed)},
-      {"degraded_answers",
-       "Best-effort answers over surviving partitions only "
-       "(QueryOutcome::degraded)",
-       counters.degraded.load(std::memory_order_relaxed)},
       {"shard_restarts", "Crashed shard engines restarted in place",
        counters.shard_restarts.load(std::memory_order_relaxed)},
   };
@@ -239,17 +235,15 @@ std::string RenderPrometheus(const MetricsRegistry& metrics,
     AppendSampleInt(&out, c.name, "_total", "", c.value);
   }
 
-  // -- routing-decision counters (partitioned placement), one series
-  //    per shard --
+  // -- routing-decision counters, one series per shard --
   AppendHeader(&out, "route_local_total", "counter",
-               "Queries executed entirely from the shard's own data slice");
+               "Queries routed whole to the shard");
   for (size_t s = 0; s < shard_routes.size(); ++s) {
     AppendSampleInt(&out, "route_local", "_total",
                     ShardLabel(static_cast<int>(s)), shard_routes[s].local);
   }
   AppendHeader(&out, "route_scatter_total", "counter",
-               "Queries scattered across shards (terms span partition "
-               "owners)");
+               "Queries scattered across shards, attributed to the shard");
   for (size_t s = 0; s < shard_routes.size(); ++s) {
     AppendSampleInt(&out, "route_scatter", "_total",
                     ShardLabel(static_cast<int>(s)),
@@ -307,8 +301,6 @@ std::string RenderCountersText(const ServiceCounters& counters,
   out += " deadline_exceeded=";
   AppendInt(&out,
             counters.deadline_exceeded.load(std::memory_order_relaxed));
-  out += " degraded=";
-  AppendInt(&out, counters.degraded.load(std::memory_order_relaxed));
   out += " shard_restarts=";
   AppendInt(&out, counters.shard_restarts.load(std::memory_order_relaxed));
   out += '\n';

@@ -31,7 +31,7 @@ namespace qsys {
 /// \brief Renders the full metrics surface of one QueryService in
 /// Prometheus text exposition format. `shard_stats` / `shard_spill` /
 /// `shard_routes` are the per-shard lock-free snapshots, indexed by
-/// shard id (`shard_routes` is all-zero in replicated placement).
+/// shard id.
 std::string RenderPrometheus(const MetricsRegistry& metrics,
                              const ServiceCounters& counters,
                              const std::vector<ExecStats>& shard_stats,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/core/placement.h"
 #include "src/obs/export.h"
 #include "src/obs/trace_export.h"
 
@@ -69,41 +68,12 @@ VirtualTime QueryService::NowUs() const {
 
 Status QueryService::BuildEachEngine(
     const std::function<Status(Engine&)>& builder) {
-  if (options_.config.placement == PlacementMode::kPartitioned) {
-    return BuildPartitionedEngines(builder);
-  }
-  // Replicated: every shard holds the full copy, so the same builder
-  // can repopulate a fresh engine after a crash — save it as the
-  // restart recipe. (Partitioned shards own data slices; they fail
-  // over by degraded re-scatter instead of restarting.)
-  engine_builder_ = builder;
-  for (auto& shard : shards_) {
-    QSYS_RETURN_IF_ERROR(builder(shard->engine()));
-    shard->set_engine_builder(builder);
-  }
-  return Status::OK();
+  return builder(shards_[0]->engine());
 }
 
 void QueryService::InstallShardFaultInjector(ShardFaultInjector* injector) {
   fault_injector_ = injector;
   for (auto& shard : shards_) shard->set_fault_injector(injector);
-}
-
-Status QueryService::BuildPartitionedEngines(
-    const std::function<Status(Engine&)>& builder) {
-  if (started_) return Status::FailedPrecondition("already started");
-  if (placement_ != nullptr) {
-    return Status::FailedPrecondition("placement already built");
-  }
-  QConfig config = options_.config;
-  config.num_shards = num_shards();  // normalized
-  auto placement = DataPlacement::Create(config, builder);
-  if (!placement.ok()) return placement.status();
-  placement_ = std::move(placement).value();
-  for (int i = 0; i < num_shards(); ++i) {
-    shards_[i]->engine().AttachPlacement(placement_.get(), i);
-  }
-  return Status::OK();
 }
 
 ExecStats QueryService::stats_snapshot() const {
@@ -134,54 +104,36 @@ void QueryService::AggregateSpillGauges() {
 
 Status QueryService::Start() {
   if (started_) return Status::FailedPrecondition("already started");
-  for (auto& shard : shards_) {
-    QSYS_RETURN_IF_ERROR(shard->engine().FinalizeCatalog());
-  }
-  // Every shard must answer from the same data catalog, or routing
-  // would change a query's answers. Catch the "built only shard 0"
-  // mistake. (In partitioned mode every shard shares the placement's
-  // catalog by construction.)
-  for (auto& shard : shards_) {
-    if (shard->engine().data_catalog().num_tables() !=
-        shards_[0]->engine().data_catalog().num_tables()) {
+  // Shard 0 built the dataset; every other shard serves the same one.
+  QSYS_RETURN_IF_ERROR(shards_[0]->engine().FinalizeCatalog());
+  for (int i = 1; i < num_shards(); ++i) {
+    if (shards_[i]->engine().catalog().num_tables() > 0) {
       return Status::FailedPrecondition(
-          "shard catalogs differ; populate every shard "
+          "shard " + std::to_string(i) +
+          " was populated on its own; build through shard 0 "
           "(see QueryService::BuildEachEngine)");
     }
   }
-  // Table-affinity routing probes the full inverted index — the
-  // placement's in partitioned mode (a shard's own index is only its
-  // slice), shard 0's otherwise. Both are immutable once finalized and
-  // therefore safe to read from any submitting thread.
-  router_.set_footprint_fn([this](const std::string& term) {
-    const InvertedIndex& index = placement_ != nullptr
-                                     ? placement_->full_index()
-                                     : shards_[0]->engine().inverted_index();
+  const std::shared_ptr<Dataset> data = shards_[0]->engine().dataset();
+  for (int i = 1; i < num_shards(); ++i) {
+    QSYS_RETURN_IF_ERROR(shards_[i]->ServeDataset(data));
+  }
+  // Table-affinity routing probes the shared inverted index, which is
+  // immutable once finalized and therefore safe to read from any
+  // submitting thread.
+  router_.set_footprint_fn([data](const std::string& term) {
     std::vector<TableId> tables;
-    for (const KeywordMatch& m : index.Lookup(term)) {
+    for (const KeywordMatch& m : data->inverted_index->Lookup(term)) {
       tables.push_back(m.table);
     }
     return tables;
   });
-  if (placement_ != nullptr) {
-    // Ownership-based routing: Submit() consults Decide() instead of
-    // Route(). Terms the index does not contain report -1 (ignored by
-    // the decision — they match nothing anywhere).
-    router_.set_term_owner_fn([this](const std::string& term) {
-      if (placement_->full_index().Lookup(term).empty()) return -1;
-      return placement_->partition_map().TermOwner(term);
-    });
-  }
   start_wall_ = Clock::now();
   // Trace timestamps and UserQuery submit times share one zero point.
   if (tracer_ != nullptr) tracer_->set_time_zero(start_wall_);
   SupervisorPolicy policy;
   policy.stall_timeout_us = options_.stall_timeout_ms * 1000;
-  // Restart only makes sense when a fresh engine can be repopulated
-  // with the shard's data — the replicated full copy. A partitioned
-  // shard's slice dies with it; its queries degrade instead.
-  policy.restart_crashed = options_.restart_crashed_shards &&
-                           placement_ == nullptr;
+  policy.restart_crashed = options_.restart_crashed_shards;
   policy.max_restarts_per_shard = options_.max_restarts_per_shard;
   supervisor_ = std::make_unique<ShardSupervisor>(num_shards(), policy);
   started_ = true;
@@ -262,46 +214,52 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
 
   if (options_.config.shard_affinity == ShardAffinity::kScatterCqs &&
       num_shards() > 1) {
-    Result<QueryTicket> ticket =
-        SubmitScatter(session, keywords, options, deadline_us);
-    if (ticket.ok()) {
+    const int parent_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
+    std::shared_future<QueryOutcome> future = RegisterInFlight(
+        parent_id, session, keywords, /*shard=*/-1, options, deadline_us);
+    counters_.submitted.fetch_add(1, std::memory_order_relaxed);
+    if (tracer_ != nullptr) {
+      tracer_->Instant(TraceEventType::kAdmit, /*shard=*/-1, parent_id);
+    }
+    const int refused = Scatter(parent_id, session, keywords, options,
+                                options_.block_when_full);
+    if (refused < 0) {
       route_counters_[router_.Route(keywords)].scatter.fetch_add(
           1, std::memory_order_relaxed);
+      return QueryTicket(parent_id, std::move(future));
     }
-    return ticket;
+    // Backpressure (the scatter targets only healthy shards): undo the
+    // scatter (subs already pushed will complete into a void; their
+    // work is wasted but harmless) and reject the submit.
+    AbortScatter(parent_id);
+    bool still_inflight;
+    {
+      std::lock_guard<std::mutex> lock(inflight_mu_);
+      still_inflight = inflight_.erase(parent_id) > 0;
+    }
+    if (!still_inflight) {
+      // Shutdown raced and resolved the parent ticket already.
+      return QueryTicket(parent_id, std::move(future));
+    }
+    sessions_.OnRejected(session);
+    counters_.submitted.fetch_sub(1, std::memory_order_relaxed);
+    counters_.rejected.fetch_add(1, std::memory_order_relaxed);
+    if (tracer_ != nullptr) {
+      tracer_->Instant(TraceEventType::kReject, /*shard=*/-1, parent_id);
+    }
+    return Status::ResourceExhausted(
+        "submit queue full or service shutting down");
   }
 
-  int shard;
-  if (router_.partitioned()) {
-    // Partitioned placement: ownership decides. A query whose terms
-    // all live on one shard executes there from that shard's slice;
-    // terms spanning owners scatter through the exact cross-shard
-    // merge (the configured affinity only breaks ties — a non-owner
-    // shard's slice could not even generate the query's candidates).
-    // A down owner is NOT routed around here: the push below fails
-    // and the fault-tolerance layer re-scatters around it (degraded).
-    ShardRouter::Decision decision = router_.Decide(keywords);
-    if (decision.scatter) {
-      Result<QueryTicket> ticket =
-          SubmitScatter(session, keywords, options, deadline_us);
-      if (ticket.ok()) {
-        route_counters_[decision.shard].scatter.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-      return ticket;
-    }
-    shard = decision.shard;
-  } else {
-    shard = router_.Route(keywords);
-    // Replicated: any shard holds the full copy, so route new traffic
-    // around a failed shard instead of bouncing off its closed queue.
-    if (!ShardHealthy(shard)) {
-      for (int off = 1; off < num_shards(); ++off) {
-        const int s = (shard + off) % num_shards();
-        if (ShardHealthy(s)) {
-          shard = s;
-          break;
-        }
+  int shard = router_.Route(keywords);
+  // Every shard serves the same dataset, so route new traffic around a
+  // failed shard instead of bouncing off its closed queue.
+  if (!ShardHealthy(shard)) {
+    for (int off = 1; off < num_shards(); ++off) {
+      const int s = (shard + off) % num_shards();
+      if (ShardHealthy(s)) {
+        shard = s;
+        break;
       }
     }
   }
@@ -322,8 +280,8 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
                     : shards_[shard]->TrySubmit(std::move(request));
   if (!pushed && !stopped_ && !ShardHealthy(shard)) {
     // The push bounced off a dead shard, not backpressure: accept the
-    // query and hand it to the fault-tolerance layer (retry elsewhere,
-    // degraded re-scatter, or a terminal kUnavailable — never a hang).
+    // query and hand it to the fault-tolerance layer (retry elsewhere
+    // or a terminal kUnavailable — never a hang).
     counters_.submitted.fetch_add(1, std::memory_order_relaxed);
     if (tracer_ != nullptr) {
       tracer_->Instant(TraceEventType::kAdmit, shard, uq_id);
@@ -361,150 +319,67 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
   return QueryTicket(uq_id, std::move(future));
 }
 
-Result<QueryTicket> QueryService::SubmitScatter(
-    SessionId session, const std::string& keywords,
-    const CandidateGenOptions& options, VirtualTime deadline_us) {
-  // The caller has already admitted the session. Generate once (on the
-  // submitting thread — generation reads only immutable post-finalize
-  // structures), then split the CQs across shards. Partitioned mode
-  // generates centrally over the placement's FULL index: a spanning
-  // query's terms resolve on no single shard's slice, so only the full
-  // index sees every candidate.
+int QueryService::Scatter(int uq_id, SessionId session,
+                          const std::string& keywords,
+                          const CandidateGenOptions& options, bool block) {
+  // Generation reads only the shared, immutable dataset, so it runs on
+  // the calling thread through any shard's engine.
   Result<UserQuery> gen =
-      placement_ != nullptr
-          ? placement_->GenerateCandidates(keywords, options)
-          : shards_[0]->engine().GenerateCandidates(keywords, options);
-  int parent_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_future<QueryOutcome> future = RegisterInFlight(
-      parent_id, session, keywords, /*shard=*/-1, options, deadline_us);
-  counters_.submitted.fetch_add(1, std::memory_order_relaxed);
-  if (tracer_ != nullptr) {
-    tracer_->Instant(TraceEventType::kAdmit, /*shard=*/-1, parent_id);
-  }
+      shards_[0]->engine().GenerateCandidates(keywords, options);
   if (!gen.ok()) {
-    // Same client experience as the routed path: the ticket resolves
-    // with the generation failure.
-    Resolve(parent_id, gen.status(), nullptr, nullptr);
-    return QueryTicket(parent_id, std::move(future));
+    Resolve(uq_id, gen.status(), nullptr, nullptr);
+    return -1;
+  }
+  std::vector<int> targets;
+  for (int s = 0; s < num_shards(); ++s) {
+    if (ShardHealthy(s)) targets.push_back(s);
+  }
+  if (targets.empty()) {
+    Resolve(uq_id, Status::Unavailable("no healthy shard to scatter to"),
+            nullptr, nullptr);
+    return -1;
   }
   UserQuery uq = std::move(gen).value();
-
-  const int n = num_shards();
-  std::vector<std::vector<ConjunctiveQuery>> parts(n);
-  if (placement_ == nullptr) {
-    for (size_t i = 0; i < uq.cqs.size(); ++i) {
-      parts[i % n].push_back(std::move(uq.cqs[i]));
-    }
-  } else {
-    // Locality-aware assignment: send each CQ to the shard owning the
-    // most of its keyword terms (ties to the lowest shard; CQs with no
-    // term selections fall back to round-robin). Purely a placement
-    // heuristic — RankMerger::Merge is exact over the union of CQ
-    // result streams, so the assignment cannot change the answer.
-    const PartitionMap& map = placement_->partition_map();
-    for (size_t i = 0; i < uq.cqs.size(); ++i) {
-      std::vector<int64_t> votes(n, 0);
-      bool any_term = false;
-      for (const Atom& atom : uq.cqs[i].expr.atoms()) {
-        for (const Selection& sel : atom.selections) {
-          if (sel.kind != SelectionKind::kContainsTerm) continue;
-          votes[map.TermOwner(sel.constant.AsString())] += 1;
-          any_term = true;
-        }
-      }
-      int target = static_cast<int>(i) % n;
-      if (any_term) {
-        target = 0;
-        for (int s = 1; s < n; ++s) {
-          if (votes[s] > votes[target]) target = s;
-        }
-      }
-      parts[target].push_back(std::move(uq.cqs[i]));
-    }
+  std::vector<std::vector<ConjunctiveQuery>> parts(targets.size());
+  for (size_t i = 0; i < uq.cqs.size(); ++i) {
+    parts[i % targets.size()].push_back(std::move(uq.cqs[i]));
   }
 
   ScatterState state;
   std::vector<std::pair<int, ShardRequest>> to_push;
-  for (int s = 0; s < n; ++s) {
-    if (parts[s].empty()) continue;
-    int sub_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
+  for (size_t t = 0; t < targets.size(); ++t) {
+    if (parts[t].empty()) continue;
+    const int sub_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
     auto sub = std::make_unique<UserQuery>();
     sub->id = sub_id;
     sub->user_id = session;
     sub->k = uq.k;
     sub->keywords = uq.keywords;
-    sub->cqs = std::move(parts[s]);
+    sub->cqs = std::move(parts[t]);
     ShardRequest request;
     request.uq_id = sub_id;
     request.user_id = session;
     request.prepared = std::move(sub);
     request.submit_us = NowUs();
-    to_push.emplace_back(s, std::move(request));
+    to_push.emplace_back(targets[t], std::move(request));
     state.pending += 1;
-    state.sub_shards.push_back(s);
+    state.sub_shards.push_back(targets[t]);
   }
-  std::vector<int> sub_ids;
   {
     std::lock_guard<std::mutex> lock(scatter_mu_);
     for (const auto& [s, request] : to_push) {
-      scatter_sub_parent_[request.uq_id] = parent_id;
-      sub_ids.push_back(request.uq_id);
+      scatter_sub_parent_[request.uq_id] = uq_id;
       // Sub-queries journal (and Explain) under their parent.
-      if (journal_ != nullptr) journal_->Alias(request.uq_id, parent_id);
+      if (journal_ != nullptr) journal_->Alias(request.uq_id, uq_id);
     }
-    scatter_.emplace(parent_id, std::move(state));
+    scatter_.emplace(uq_id, std::move(state));
   }
-
-  bool all_pushed = true;
-  int refused_shard = -1;
   for (auto& [s, request] : to_push) {
-    bool pushed = options_.block_when_full
-                      ? shards_[s]->SubmitBlocking(std::move(request))
-                      : shards_[s]->TrySubmit(std::move(request));
-    if (!pushed) {
-      all_pushed = false;
-      refused_shard = s;
-      break;
-    }
+    const bool pushed = block ? shards_[s]->SubmitBlocking(std::move(request))
+                              : shards_[s]->TrySubmit(std::move(request));
+    if (!pushed) return s;
   }
-  if (!all_pushed && !stopped_ && !ShardHealthy(refused_shard)) {
-    // A sub bounced off a dead shard, not backpressure: keep the
-    // parent and let the fault-tolerance layer re-scatter around the
-    // dead shard (degraded under partitioned placement). Subs already
-    // pushed complete into a void once the book-keeping is dropped.
-    AbortScatter(parent_id);
-    FailOverOne(parent_id,
-                Status::Unavailable("shard " + std::to_string(refused_shard) +
-                                    " is down"));
-    return QueryTicket(parent_id, std::move(future));
-  }
-  if (!all_pushed) {
-    // Undo the scatter (subs already pushed will complete into a void;
-    // their work is wasted but harmless) and reject the submit.
-    {
-      std::lock_guard<std::mutex> lock(scatter_mu_);
-      for (int sub : sub_ids) scatter_sub_parent_.erase(sub);
-      scatter_.erase(parent_id);
-    }
-    bool still_inflight;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      still_inflight = inflight_.erase(parent_id) > 0;
-    }
-    if (!still_inflight) {
-      // Shutdown raced and resolved the parent ticket already.
-      return QueryTicket(parent_id, std::move(future));
-    }
-    sessions_.OnRejected(session);
-    counters_.submitted.fetch_sub(1, std::memory_order_relaxed);
-    counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-    if (tracer_ != nullptr) {
-      tracer_->Instant(TraceEventType::kReject, /*shard=*/-1, parent_id);
-    }
-    return Status::ResourceExhausted(
-        "submit queue full or service shutting down");
-  }
-  return QueryTicket(parent_id, std::move(future));
+  return -1;
 }
 
 void QueryService::OnShardCompletion(const EngineShard::Completion& c) {
@@ -605,14 +480,6 @@ void QueryService::Resolve(int uq_id, Status status,
   outcome.shard = entry.shard;
   outcome.status = std::move(status);
   outcome.retries = entry.attempts;
-  // The degraded flag qualifies an *answer*; a query that ultimately
-  // failed is just failed (missing_terms still say what was lost).
-  outcome.degraded = entry.degraded && outcome.status.ok();
-  outcome.missing_terms = std::move(entry.missing_terms);
-  std::sort(outcome.missing_terms.begin(), outcome.missing_terms.end());
-  outcome.missing_terms.erase(
-      std::unique(outcome.missing_terms.begin(), outcome.missing_terms.end()),
-      outcome.missing_terms.end());
   if (metrics != nullptr) outcome.metrics = *metrics;
   if (outcome.status.ok()) {
     if (results != nullptr) outcome.results = *results;
@@ -620,9 +487,6 @@ void QueryService::Resolve(int uq_id, Status status,
     // produced it — see RankMerger.
     RankMerger::Canonicalize(outcome.results, options_.config.k);
     counters_.completed.fetch_add(1, std::memory_order_relaxed);
-    if (outcome.degraded) {
-      counters_.degraded.fetch_add(1, std::memory_order_relaxed);
-    }
   } else if (outcome.status.code() == StatusCode::kCancelled) {
     counters_.cancelled.fetch_add(1, std::memory_order_relaxed);
   } else if (outcome.status.code() == StatusCode::kDeadlineExceeded) {
@@ -873,17 +737,27 @@ void QueryService::ProcessDueRetries(VirtualTime now_us) {
     if (tracer_ != nullptr) {
       tracer_->Instant(TraceEventType::kRetry, /*shard=*/-1, uq_id);
     }
-    if (router_.partitioned()) {
-      DegradedRescatter(uq_id, session, keywords, gen_options);
-      continue;
-    }
     if (options_.config.shard_affinity == ShardAffinity::kScatterCqs &&
         num_shards() > 1) {
-      RescatterAcrossHealthy(uq_id, session, keywords, gen_options);
+      {
+        std::lock_guard<std::mutex> lock(inflight_mu_);
+        auto it = inflight_.find(uq_id);
+        if (it == inflight_.end()) continue;
+        it->second.shard = -1;  // scatter parent again
+      }
+      const int refused =
+          Scatter(uq_id, session, keywords, gen_options, /*block=*/false);
+      if (refused >= 0) {
+        // The target died between the health check and the push; fail
+        // over again (bounded by max_retries).
+        FailOverOne(uq_id,
+                    Status::Unavailable("re-scatter refused by shard " +
+                                        std::to_string(refused)));
+      }
       continue;
     }
-    // Replicated routed query: re-route to the first healthy shard at
-    // or after its home shard.
+    // Routed query: re-route to the first healthy shard at or after its
+    // home shard.
     int target = -1;
     const int base = router_.Route(keywords);
     for (int off = 0; off < num_shards(); ++off) {
@@ -916,173 +790,6 @@ void QueryService::ProcessDueRetries(VirtualTime now_us) {
                                       std::to_string(target)));
     }
   }
-}
-
-void QueryService::PushRetryScatter(
-    int parent_id, SessionId session, int k, const std::string& keywords,
-    std::vector<std::vector<ConjunctiveQuery>> parts) {
-  ScatterState state;
-  std::vector<std::pair<int, ShardRequest>> to_push;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (parts[s].empty()) continue;
-    int sub_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
-    auto sub = std::make_unique<UserQuery>();
-    sub->id = sub_id;
-    sub->user_id = session;
-    sub->k = k;
-    sub->keywords = keywords;
-    sub->cqs = std::move(parts[s]);
-    ShardRequest request;
-    request.uq_id = sub_id;
-    request.user_id = session;
-    request.prepared = std::move(sub);
-    request.submit_us = NowUs();
-    to_push.emplace_back(s, std::move(request));
-    state.pending += 1;
-    state.sub_shards.push_back(s);
-  }
-  {
-    std::lock_guard<std::mutex> lock(scatter_mu_);
-    for (const auto& [s, request] : to_push) {
-      scatter_sub_parent_[request.uq_id] = parent_id;
-      if (journal_ != nullptr) journal_->Alias(request.uq_id, parent_id);
-    }
-    scatter_.emplace(parent_id, std::move(state));
-  }
-  for (auto& [s, request] : to_push) {
-    if (!shards_[s]->TrySubmit(std::move(request))) {
-      // The target died between the health check and the push; fail
-      // over again (bounded by max_retries).
-      FailOverOne(parent_id,
-                  Status::Unavailable("re-scatter refused by shard " +
-                                      std::to_string(s)));
-      return;
-    }
-  }
-}
-
-void QueryService::RescatterAcrossHealthy(
-    int uq_id, SessionId session, const std::string& keywords,
-    const CandidateGenOptions& options) {
-  std::vector<int> healthy;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (ShardHealthy(s)) healthy.push_back(s);
-  }
-  if (healthy.empty()) {
-    Resolve(uq_id, Status::Unavailable("no healthy shard for re-scatter"),
-            nullptr, nullptr);
-    return;
-  }
-  // Replicated: every engine holds the full copy, so any healthy one
-  // can regenerate candidates; the answer is complete (not degraded).
-  Result<UserQuery> gen =
-      shards_[healthy[0]]->engine().GenerateCandidates(keywords, options);
-  if (!gen.ok()) {
-    Resolve(uq_id, gen.status(), nullptr, nullptr);
-    return;
-  }
-  UserQuery uq = std::move(gen).value();
-  std::vector<std::vector<ConjunctiveQuery>> parts(
-      static_cast<size_t>(num_shards()));
-  for (size_t i = 0; i < uq.cqs.size(); ++i) {
-    parts[static_cast<size_t>(healthy[i % healthy.size()])].push_back(
-        std::move(uq.cqs[i]));
-  }
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    auto it = inflight_.find(uq_id);
-    if (it == inflight_.end()) return;
-    it->second.shard = -1;  // scatter parent again
-  }
-  PushRetryScatter(uq_id, session, uq.k, keywords, std::move(parts));
-}
-
-void QueryService::DegradedRescatter(int uq_id, SessionId session,
-                                     const std::string& keywords,
-                                     const CandidateGenOptions& options) {
-  std::vector<char> healthy(static_cast<size_t>(num_shards()), 0);
-  bool any_healthy = false;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (ShardHealthy(s)) {
-      healthy[static_cast<size_t>(s)] = 1;
-      any_healthy = true;
-    }
-  }
-  if (!any_healthy) {
-    Resolve(uq_id, Status::Unavailable("no healthy shard for re-scatter"),
-            nullptr, nullptr);
-    return;
-  }
-  // Regenerate over the placement's full index (immutable, survives
-  // dead shards), then drop the CQs that need an unreachable owner:
-  // the surviving CQs still produce an exact top-k over their slices,
-  // so the eventual answer is a flagged subset of the complete one.
-  Result<UserQuery> gen = placement_->GenerateCandidates(keywords, options);
-  if (!gen.ok()) {
-    Resolve(uq_id, gen.status(), nullptr, nullptr);
-    return;
-  }
-  UserQuery uq = std::move(gen).value();
-  const PartitionMap& map = placement_->partition_map();
-  const int n = num_shards();
-  std::vector<std::vector<ConjunctiveQuery>> parts(static_cast<size_t>(n));
-  std::vector<std::string> missing;
-  size_t kept = 0;
-  for (size_t i = 0; i < uq.cqs.size(); ++i) {
-    std::vector<int64_t> votes(static_cast<size_t>(n), 0);
-    bool reachable = true;
-    for (const Atom& atom : uq.cqs[i].expr.atoms()) {
-      for (const Selection& sel : atom.selections) {
-        if (sel.kind != SelectionKind::kContainsTerm) continue;
-        const std::string term = sel.constant.AsString();
-        const int owner = map.TermOwner(term);
-        if (owner < 0) continue;  // term matches nothing anywhere
-        if (!healthy[static_cast<size_t>(owner)]) {
-          reachable = false;
-          missing.push_back(term);
-        } else {
-          votes[static_cast<size_t>(owner)] += 1;
-        }
-      }
-    }
-    if (!reachable) continue;
-    // Locality vote among the healthy shards (deterministic: ties to
-    // the lowest id; no votes at all picks the lowest healthy shard).
-    int target = -1;
-    int64_t best = -1;
-    for (int s = 0; s < n; ++s) {
-      if (healthy[static_cast<size_t>(s)] == 0) continue;
-      if (votes[static_cast<size_t>(s)] > best) {
-        best = votes[static_cast<size_t>(s)];
-        target = s;
-      }
-    }
-    parts[static_cast<size_t>(target)].push_back(std::move(uq.cqs[i]));
-    kept += 1;
-  }
-  std::sort(missing.begin(), missing.end());
-  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    auto it = inflight_.find(uq_id);
-    if (it == inflight_.end()) return;
-    it->second.shard = -1;  // scatter parent now
-    if (!missing.empty()) {
-      it->second.degraded = true;
-      for (const std::string& term : missing) {
-        it->second.missing_terms.push_back(term);
-      }
-    }
-  }
-  if (kept == 0) {
-    // Every candidate needed a dead owner: nothing left to answer
-    // from. (missing_terms in the outcome say why.)
-    Resolve(uq_id,
-            Status::Unavailable("no reachable partition covers the query"),
-            nullptr, nullptr);
-    return;
-  }
-  PushRetryScatter(uq_id, session, uq.k, keywords, std::move(parts));
 }
 
 void QueryService::TryRestartShard(int shard) {

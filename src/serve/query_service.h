@@ -9,9 +9,10 @@
 // queries across QConfig::num_shards independent EngineShards (each a
 // full Engine: batcher -> multi-query optimizer -> graft -> shared ATC
 // execution, with its own executor thread, bounded submit queue, state
-// manager, and optional spill tier); and completed top-k answers stream
-// back to the waiting callers through futures (QueryTicket) and an
-// optional push sink.
+// manager, and optional spill tier), all executing against one shared,
+// read-only dataset; and completed top-k answers stream back to the
+// waiting callers through futures (QueryTicket) and an optional push
+// sink.
 //
 //   ServiceOptions options;
 //   options.config.num_shards = 4;
@@ -29,10 +30,10 @@
 // query always lands on the shard holding its reusable state — and the
 // ATC-CL-style table-affinity policy co-locates queries over shared hot
 // relations. ShardAffinity::kScatterCqs instead splits one query's CQs
-// across *all* shards and cross-shard rank-merges the per-shard top-k
-// streams (src/shard/rank_merger.h). Every outcome is canonicalized
-// through RankMerger's deterministic total order, so per-UQ results are
-// byte-equivalent across shard counts.
+// across every healthy shard and cross-shard rank-merges the per-shard
+// top-k streams (src/shard/rank_merger.h). Every outcome is
+// canonicalized through RankMerger's deterministic total order, so
+// per-UQ results are byte-equivalent across shard counts.
 //
 // Threading model: every external touch of an Engine is serialized
 // behind its shard's engine lock, and no lock is shared between two
@@ -113,9 +114,8 @@ struct ServiceOptions {
   /// Declare a shard stalled after this long with pending work and a
   /// frozen heartbeat; 0 disables stall detection.
   int64_t stall_timeout_ms = 1000;
-  /// Restart crashed shard engines from the saved dataset builder
-  /// (replicated placement only; partitioned shards own data slices
-  /// and fail over by degraded re-scatter instead).
+  /// Restart a crashed shard with a fresh engine over the shared
+  /// dataset.
   bool restart_crashed_shards = true;
   int max_restarts_per_shard = 1;
   /// Bounded drain: Shutdown(kDrain) waits at most this long for the
@@ -146,44 +146,28 @@ class QueryService {
   /// Number of independent engine shards behind this service.
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// Shard `i`'s pipeline, for catalog/dataset building with the same
-  /// builders the simulator uses (BuildGusDataset(Engine&), ...). Every
-  /// shard must be populated with the same catalog before Start();
-  /// BuildEachEngine() does that in one call.
+  /// Shard `i`'s pipeline. Before Start(), shard 0's engine is where
+  /// the dataset is built, with the same builders the simulator uses
+  /// (BuildGusDataset(Engine&), ...); Start() gives every other shard
+  /// an engine over that one dataset.
   Engine& shard_engine(int i) { return shards_[i]->engine(); }
 
-  /// Single-shard convenience (and the num_shards=1 legacy accessor):
-  /// shard 0's engine.
+  /// Shard 0's engine (the single-shard accessor).
   Engine& engine() { return shards_[0]->engine(); }
-  Catalog& catalog() { return engine().catalog(); }
-  SchemaGraph& InitSchemaGraph() { return engine().InitSchemaGraph(); }
 
-  /// Populates the shards with `builder`'s dataset according to
-  /// QConfig::placement: replicated mode runs the builder on every
-  /// shard's engine (the historical behavior); partitioned mode
-  /// delegates to BuildPartitionedEngines(). Stops at the first error.
+  /// Builds `builder`'s dataset once, through shard 0's engine; Start()
+  /// shares it read-only with every other shard.
   Status BuildEachEngine(const std::function<Status(Engine&)>& builder);
-
-  /// Partitioned placement: builds the dataset ONCE (into a
-  /// DataPlacement host engine), hash-partitions index terms and
-  /// base-table tuples across the shards, and attaches each shard to
-  /// its slice (src/core/placement.h). Per-shard resident data shrinks
-  /// as num_shards grows; per-UQ top-k stays byte-equivalent to the
-  /// replicated single-shard oracle. Call instead of BuildEachEngine()
-  /// (or set QConfig::placement = kPartitioned and let BuildEachEngine
-  /// delegate).
-  Status BuildPartitionedEngines(const std::function<Status(Engine&)>& builder);
-
-  /// The partitioned placement, or nullptr in replicated mode.
-  const DataPlacement* placement() const { return placement_.get(); }
 
   /// Optional push-style delivery, invoked on a shard executor thread
   /// in addition to resolving the ticket future. Set before Start().
   void set_result_sink(ResultSink* sink) { sink_ = sink; }
 
-  /// Finalizes every shard's catalog (idempotent) and starts serving:
-  /// wall clock zero is now, and the shard executors begin draining
-  /// submissions.
+  /// Finalizes shard 0's dataset, gives every other shard a fresh
+  /// engine over it, and starts serving: wall clock zero is now, and
+  /// the shard executors begin draining submissions. Fails with
+  /// kFailedPrecondition when a shard other than 0 was populated on its
+  /// own.
   Status Start();
 
   // ---- client API (thread-safe after Start()) ----
@@ -238,10 +222,8 @@ class QueryService {
   /// One shard's epoch count (service-wide total: counters().epochs).
   int64_t shard_epochs(int i) const { return shards_[i]->epochs(); }
 
-  /// One shard's routing-decision counters: queries it executed
-  /// locally from its own data vs. scatter decisions attributed to it
-  /// (partitioned placement; all-zero local/scatter split under
-  /// replicated single-shard serving is simply local).
+  /// One shard's routing-decision counters: queries routed whole to it
+  /// vs. scattered queries attributed to it.
   RouteStats shard_routes(int i) const {
     RouteStats r;
     r.local = route_counters_[i].local.load(std::memory_order_relaxed);
@@ -353,10 +335,6 @@ class QueryService {
     VirtualTime deadline_us = -1;
     /// Fault-tolerance re-submissions so far (bounds max_retries).
     int attempts = 0;
-    /// Set by DegradedRescatter: the eventual outcome is a flagged
-    /// subset (see QueryOutcome::degraded).
-    bool degraded = false;
-    std::vector<std::string> missing_terms;
   };
 
   /// Book-keeping of one in-flight scatter query: which sub-queries are
@@ -374,10 +352,14 @@ class QueryService {
     std::vector<int> sub_shards;
   };
 
-  Result<QueryTicket> SubmitScatter(SessionId session,
-                                    const std::string& keywords,
-                                    const CandidateGenOptions& options,
-                                    VirtualTime deadline_us);
+  /// The one scatter routine, for first submits and retries alike:
+  /// generates `uq_id`'s candidates once over the shared index, splits
+  /// its CQs round-robin over the healthy shards, registers the
+  /// sub-queries under `uq_id` and pushes them. Returns the shard that
+  /// refused a push, or -1 when every push went through or the query
+  /// already resolved (generation failure, no healthy shard).
+  int Scatter(int uq_id, SessionId session, const std::string& keywords,
+              const CandidateGenOptions& options, bool block);
   /// Registers an in-flight entry and returns its shared future.
   std::shared_future<QueryOutcome> RegisterInFlight(
       int uq_id, SessionId session, const std::string& keywords, int shard,
@@ -416,22 +398,6 @@ class QueryService {
   void AbortScatter(int uq_id);
   /// Re-submits every retry whose backoff has elapsed.
   void ProcessDueRetries(VirtualTime now_us);
-  /// Partitioned failover: re-scatters `uq_id` around the dead owners,
-  /// dropping the CQs that need them — the answer becomes a flagged
-  /// subset with term-coverage attribution (missing_terms).
-  void DegradedRescatter(int uq_id, SessionId session,
-                         const std::string& keywords,
-                         const CandidateGenOptions& options);
-  /// Replicated scatter failover: re-scatters all CQs across the
-  /// healthy shards (full answer, not degraded).
-  void RescatterAcrossHealthy(int uq_id, SessionId session,
-                              const std::string& keywords,
-                              const CandidateGenOptions& options);
-  /// Shared tail of the re-scatter paths: registers fresh sub-queries
-  /// for `parts` and pushes them; a refused push fails over again.
-  void PushRetryScatter(int parent_id, SessionId session, int k,
-                        const std::string& keywords,
-                        std::vector<std::vector<ConjunctiveQuery>> parts);
   /// Attempts a supervisor-approved engine restart of `shard`.
   void TryRestartShard(int shard);
   /// True when `shard` may receive (re-)submissions.
@@ -465,11 +431,6 @@ class QueryService {
   std::unique_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<DecisionJournal> journal_;
-  /// Partitioned placement (null in replicated mode; assigned by
-  /// BuildPartitionedEngines). Declared before shards_: the engines
-  /// hold raw pointers into the placement, and members destroy in
-  /// reverse declaration order, so the shards tear down first.
-  std::unique_ptr<DataPlacement> placement_;
   std::vector<std::unique_ptr<EngineShard>> shards_;
   ShardRouter router_;
   SessionManager sessions_;
@@ -494,9 +455,6 @@ class QueryService {
   std::mutex retry_mu_;
   std::multimap<VirtualTime, int> retry_queue_;
   uint64_t backoff_rng_ = 0x6a09e667f3bcc908ull;
-  /// Replicated-mode dataset builder, saved by BuildEachEngine so
-  /// TryRestartShard can repopulate a fresh engine.
-  std::function<Status(Engine&)> engine_builder_;
   /// Installed injector (tests/sim), remembered so a bounded Shutdown
   /// can release blocked stall gates before force-failing.
   ShardFaultInjector* fault_injector_ = nullptr;

@@ -44,16 +44,6 @@ struct QueryOutcome {
   std::vector<ResultTuple> results;
   /// The per-query latency/work record (virtual-time based).
   UserQueryMetrics metrics;
-  /// Best-effort answer: under partitioned placement a shard owning
-  /// some of this query's terms was unreachable, so `results` is the
-  /// exact top-k over the *surviving* slices only — a flagged subset
-  /// of the complete answer, not the complete answer. Always false for
-  /// replicated placement (failover there recomputes the full answer).
-  bool degraded = false;
-  /// Term-coverage attribution when degraded: the owned keyword terms
-  /// that were unreachable (sorted, deduplicated). Callers can tell
-  /// *which part* of the query went unanswered.
-  std::vector<std::string> missing_terms;
   /// Times the fault-tolerance layer re-submitted this query after a
   /// shard failure or stall (bounded by ServiceOptions::max_retries).
   int retries = 0;

@@ -43,7 +43,7 @@ struct SupervisorPolicy {
   /// Declare a shard stalled after this long with pending work and a
   /// frozen heartbeat. 0 disables stall detection.
   int64_t stall_timeout_us = 0;
-  /// Attempt to restart crashed shard engines (replicated placement).
+  /// Attempt to restart crashed shard engines.
   bool restart_crashed = true;
   /// Restart budget per shard; beyond it a crashed shard goes kDown.
   int max_restarts_per_shard = 1;

@@ -14,7 +14,7 @@
 // terminal status (answer, kDeadlineExceeded, or kUnavailable), the
 // ShardSupervisor detects the frozen heartbeat / failed terminal and
 // re-routes in-flight queries, and answers re-computed on a healthy
-// replica stay byte-equivalent to the no-fault oracle.
+// shard stay byte-equivalent to the no-fault oracle.
 //
 // Stall semantics by drive mode:
 //  - threaded executors BLOCK inside the injector's gate with a frozen

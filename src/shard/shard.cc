@@ -35,8 +35,8 @@ VirtualTime EngineShard::NowUs() const {
 }
 
 Status EngineShard::Start(Clock::time_point start_wall, bool manual) {
-  // The owning service finalizes every shard's catalog (and checks the
-  // shards agree) before starting any of them — see
+  // The owning service finalizes the shared dataset and gives every
+  // shard an engine over it before starting any of them — see
   // QueryService::Start(); one finalize site keeps that responsibility
   // unambiguous.
   if (!engine_->finalized()) {
@@ -99,26 +99,25 @@ void EngineShard::MarkDown() {
   RequestStop(/*cancel_pending=*/true);
 }
 
+Status EngineShard::ServeDataset(std::shared_ptr<Dataset> dataset) {
+  auto fresh = std::make_unique<Engine>(config_, std::move(dataset));
+  QSYS_RETURN_IF_ERROR(fresh->FinalizeCatalog());
+  std::lock_guard<std::mutex> lock(engine_mu_);
+  // Retire rather than free: service threads may hold an Engine& from
+  // engine() (stats readers).
+  retired_engines_.push_back(std::move(engine_));
+  engine_ = std::move(fresh);
+  live_engine_.store(engine_.get(), std::memory_order_release);
+  return Status::OK();
+}
+
 Status EngineShard::Restart(Clock::time_point start_wall, bool manual) {
   if (!executor_finished()) {
     return Status::FailedPrecondition(
         "shard executor still running; cannot restart");
   }
-  if (!engine_builder_) {
-    return Status::FailedPrecondition("no engine builder installed");
-  }
   Join();  // reap the exited thread object
-  auto fresh = std::make_unique<Engine>(config_);
-  QSYS_RETURN_IF_ERROR(engine_builder_(*fresh));
-  QSYS_RETURN_IF_ERROR(fresh->FinalizeCatalog());
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    // Retire rather than free: service threads may hold an Engine&
-    // from engine() (router footprint callbacks, stats readers).
-    retired_engines_.push_back(std::move(engine_));
-    engine_ = std::move(fresh);
-    live_engine_.store(engine_.get(), std::memory_order_release);
-  }
+  QSYS_RETURN_IF_ERROR(ServeDataset(engine_->dataset()));
   cancel_pending_.store(false, std::memory_order_relaxed);
   SetTerminal(Status::OK());
   queue_.Reopen();

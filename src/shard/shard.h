@@ -5,10 +5,12 @@
 //
 // The sharded QueryService (src/serve/query_service.h) owns N of these.
 // Each shard is the PR-1 single-engine serving loop, factored out so it
-// can be replicated: hash-partitioned queries co-locate with the
+// can be run N times: hash-partitioned queries co-locate with the
 // retained state they can share (per-shard ATCs, state manager, and
 // optional spill tier), and the shards execute truly independently —
-// no lock is shared between two shards' executors.
+// no lock is shared between two shards' executors. The dataset is the
+// one thing shards share: every shard's engine reads the same
+// finalized, immutable Dataset.
 //
 // Threading model: client threads call TrySubmit()/SubmitBlocking();
 // the executor thread (or the service's PumpOnce() in manual mode) is
@@ -103,9 +105,10 @@ class EngineShard {
   int id() const { return shard_id_; }
 
   /// The underlying pipeline — for dataset building before Start() and
-  /// for read-only observability after. Tear-free across a supervisor
-  /// Restart(): the pointer swap is atomic and the previous engine is
-  /// retired (kept alive), not freed, so a racing reader stays valid.
+  /// for read-only observability after. Tear-free across ServeDataset()
+  /// and Restart(): the pointer swap is atomic and the previous engine
+  /// is retired (kept alive), not freed, so a racing reader stays
+  /// valid.
   Engine& engine() {
     return *live_engine_.load(std::memory_order_acquire);
   }
@@ -123,14 +126,6 @@ class EngineShard {
   /// epoch drive.
   void set_fault_injector(ShardFaultInjector* injector) {
     injector_ = injector;
-  }
-
-  /// How Restart() repopulates a fresh Engine with this shard's
-  /// dataset (replicated placement: the same full copy every shard
-  /// got). Without a builder the supervisor cannot restart this shard
-  /// — it stays down and traffic fails over to replicas.
-  void set_engine_builder(std::function<Status(Engine&)> builder) {
-    engine_builder_ = std::move(builder);
   }
 
   /// Attaches the service-owned observability sinks (either may be
@@ -202,10 +197,14 @@ class EngineShard {
   bool down() const { return down_.load(std::memory_order_relaxed); }
   void MarkDown();
 
-  /// Tears down a crashed engine and serves again with a fresh one
-  /// (built by the engine builder, catalog re-finalized, queue
-  /// reopened). Precondition: the executor has exited. The old engine
-  /// is retired, not freed — see engine().
+  /// Replaces the engine with a fresh one over `dataset`, which another
+  /// engine has finalized. Precondition: no executor is running. The
+  /// old engine is retired, not freed — see engine().
+  Status ServeDataset(std::shared_ptr<Dataset> dataset);
+
+  /// Tears down a crashed engine and serves again with a fresh one over
+  /// the same dataset (queue reopened). Precondition: the executor has
+  /// exited.
   Status Restart(std::chrono::steady_clock::time_point start_wall,
                  bool manual);
 
@@ -246,10 +245,10 @@ class EngineShard {
   void MarkExecutorDone();
 
   const int shard_id_;
-  /// Engine config copy: Restart() rebuilds from it.
+  /// Engine config copy: ServeDataset() constructs from it.
   const QConfig config_;
   std::unique_ptr<Engine> engine_;
-  /// Engines replaced by Restart(), kept alive for racing readers.
+  /// Engines replaced by ServeDataset(), kept alive for racing readers.
   std::vector<std::unique_ptr<Engine>> retired_engines_;
   /// The engine readers see (== engine_.get(); atomic for tear-free
   /// reads across Restart's swap).
@@ -264,10 +263,8 @@ class EngineShard {
   CompletionFn completion_fn_;
   FinishedFn finished_fn_;
   StatsListener stats_listener_;
-  /// Fault seam (null in production) and restart builder (empty when
-  /// the owner never installed one).
+  /// Fault seam (null in production).
   ShardFaultInjector* injector_ = nullptr;
-  std::function<Status(Engine&)> engine_builder_;
 
   /// Coarse engine lock: every touch of engine_ after Start().
   std::mutex engine_mu_;

@@ -7,11 +7,6 @@
 
 namespace qsys {
 
-// Hashing now lives in src/storage/partition.h (the placement layer
-// and the router must agree on it); MixBits64's finalizer keeps the
-// historical routing bit-identical — same constants as the file-local
-// helpers this file used to carry.
-
 ShardRouter::ShardRouter(int num_shards, ShardAffinity affinity)
     : num_shards_(std::max(1, num_shards)), affinity_(affinity) {}
 
@@ -54,32 +49,6 @@ int ShardRouter::TableAffinityShard(const std::string& keywords) const {
   if (best == kInvalidTable) return SignatureShard(keywords);
   return static_cast<int>(MixBits64(static_cast<uint64_t>(best)) %
                           static_cast<uint64_t>(num_shards_));
-}
-
-ShardRouter::Decision ShardRouter::Decide(const std::string& keywords) const {
-  if (num_shards_ == 1) return {0, false};
-  if (!term_owner_) return {Route(keywords), false};
-  // Ownership of the query's indexed terms decides. Unindexed terms
-  // are skipped: they match nothing under the full index either, so no
-  // shard's answer depends on them.
-  int owner = -1;
-  for (const std::string& term : TokenizeKeywords(keywords)) {
-    const int shard = term_owner_(term);
-    if (shard < 0) continue;
-    if (owner == -1) {
-      owner = shard;
-    } else if (shard != owner) {
-      // Terms span owners: no single slice holds every posting list
-      // the query needs; scatter through the exact cross-shard merge.
-      return {SignatureShard(keywords), true};
-    }
-  }
-  if (owner == -1) {
-    // Nothing indexed: generation fails identically everywhere; route
-    // by signature so repeats land together.
-    return {SignatureShard(keywords), false};
-  }
-  return {owner, false};
 }
 
 int ShardRouter::Route(const std::string& keywords) const {

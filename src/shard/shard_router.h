@@ -34,7 +34,7 @@ namespace qsys {
 class ShardRouter {
  public:
   /// Resolves the source relations a single keyword term matches —
-  /// typically backed by a finalized engine's InvertedIndex, which is
+  /// typically backed by the shared dataset's InvertedIndex, which is
   /// immutable after FinalizeCatalog() and therefore safe to probe from
   /// any thread. Empty result = term matches nothing.
   using FootprintFn =
@@ -49,39 +49,10 @@ class ShardRouter {
   /// degrades to the signature hash. Call before serving starts.
   void set_footprint_fn(FootprintFn fn) { footprint_ = std::move(fn); }
 
-  /// Resolves the shard owning an index term under partitioned
-  /// placement (PartitionMap::TermOwner), or -1 for a term the index
-  /// does not contain. Installed by the service in partitioned mode;
-  /// call before serving starts.
-  using TermOwnerFn = std::function<int(const std::string& term)>;
-  void set_term_owner_fn(TermOwnerFn fn) { term_owner_ = std::move(fn); }
-  /// Whether placement-aware routing is in force.
-  bool partitioned() const { return static_cast<bool>(term_owner_); }
-
-  /// A placement-aware routing decision: execute on `shard` locally,
-  /// or scatter the query's CQs across all shards (`shard` is then the
-  /// fallback/bookkeeping shard).
-  struct Decision {
-    int shard = 0;
-    bool scatter = false;
-  };
-
-  /// Routes under partitioned placement. A query whose indexed terms
-  /// all resolve on one owner routes there — that shard's index slice
-  /// holds every posting list the query needs, so slice-local
-  /// generation is exact. Terms spanning owners scatter (no single
-  /// slice can generate the query's candidates). Terms the index does
-  /// not contain are ignored: they match nothing under the full index
-  /// either, so they cannot change the answer. Ownership overrides the
-  /// configured affinity — affinity picks a shard among equals;
-  /// ownership determines which shard *can* answer. Without a
-  /// term-owner fn this degrades to {Route(keywords), false}.
-  Decision Decide(const std::string& keywords) const;
-
   /// The shard (in [0, num_shards)) that should execute `keywords`.
   /// kScatterCqs queries are split by the service, not routed here;
-  /// for them Route() returns the signature-hash shard (used as the
-  /// generation/fallback shard).
+  /// for them Route() returns the signature-hash shard (the shard the
+  /// scatter is attributed to in the route counters).
   int Route(const std::string& keywords) const;
 
   int num_shards() const { return num_shards_; }
@@ -104,7 +75,6 @@ class ShardRouter {
   int num_shards_;
   ShardAffinity affinity_;
   FootprintFn footprint_;
-  TermOwnerFn term_owner_;
 };
 
 }  // namespace qsys

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -107,7 +106,6 @@ std::string CheckCounterConservation(const QueryService& service) {
   } kFamilies[] = {
       {"retries", "query_retries", v(c.retries)},
       {"deadline_exceeded", "deadline_exceeded", v(c.deadline_exceeded)},
-      {"degraded", "degraded_answers", v(c.degraded)},
       {"shard_restarts", "shard_restarts", v(c.shard_restarts)},
   };
   for (const auto& f : kFamilies) {
@@ -137,9 +135,6 @@ RunOutcome RunScenario(const Scenario& scenario, const SimOptions& options) {
   service_options.config = SimConfig();
   service_options.config.num_shards = scenario.shards;
   service_options.config.exec_threads = scenario.exec_threads;
-  service_options.config.placement = scenario.partitioned
-                                         ? PlacementMode::kPartitioned
-                                         : PlacementMode::kReplicated;
   if (scenario.budget_bytes > 0) {
     service_options.config.memory_budget_bytes = scenario.budget_bytes;
   }
@@ -285,8 +280,6 @@ RunOutcome RunScenario(const Scenario& scenario, const SimOptions& options) {
     outcome.retries = counters.retries.load(std::memory_order_relaxed);
     outcome.deadline_exceeded =
         counters.deadline_exceeded.load(std::memory_order_relaxed);
-    outcome.degraded_answers =
-        counters.degraded.load(std::memory_order_relaxed);
     outcome.shard_restarts =
         counters.shard_restarts.load(std::memory_order_relaxed);
     outcome.counter_error = CheckCounterConservation(service);
@@ -303,18 +296,6 @@ RunOutcome RunScenario(const Scenario& scenario, const SimOptions& options) {
         outcome.fingerprints.push_back(std::move(fp));
         outcome.statuses.push_back(out.status.ok() ? ""
                                                    : out.status.ToString());
-        outcome.degraded.push_back(out.degraded ? 1 : 0);
-        std::vector<std::string> tuple_fps;
-        if (out.status.ok()) {
-          // FingerprintResults' rendering is binary (score bytes may
-          // contain the separator), so subset checks need each tuple
-          // fingerprinted on its own rather than splitting the blob.
-          tuple_fps.reserve(out.results.size());
-          for (const ResultTuple& t : out.results) {
-            tuple_fps.push_back(FingerprintResults({t}));
-          }
-        }
-        outcome.tuples.push_back(std::move(tuple_fps));
       }
       outcome.ran_ok = true;
     }
@@ -330,9 +311,11 @@ std::string Divergence::ToString() const {
          "\"";
 }
 
-Status Oracle::EnsureCached(uint64_t workload_seed, int workload_size) {
+Result<std::vector<std::string>> Oracle::Fingerprints(uint64_t workload_seed,
+                                                      int workload_size) {
   const auto key = std::make_pair(workload_seed, workload_size);
-  if (cache_.find(key) != cache_.end()) return Status::OK();
+  auto cached = cache_.find(key);
+  if (cached != cache_.end()) return cached->second;
 
   // The ground truth: every workload query once, single shard, one
   // executor thread, unlimited budget, no spill, one wave.
@@ -354,20 +337,7 @@ Status Oracle::EnsureCached(uint64_t workload_seed, int workload_size) {
     return Status::Internal("oracle run failed: " + oracle_run.error);
   }
   cache_[key] = oracle_run.fingerprints;
-  tuple_cache_[key] = oracle_run.tuples;
-  return Status::OK();
-}
-
-Result<std::vector<std::string>> Oracle::Fingerprints(uint64_t workload_seed,
-                                                      int workload_size) {
-  QSYS_RETURN_IF_ERROR(EnsureCached(workload_seed, workload_size));
-  return cache_[std::make_pair(workload_seed, workload_size)];
-}
-
-Result<std::vector<std::vector<std::string>>> Oracle::TupleFingerprints(
-    uint64_t workload_seed, int workload_size) {
-  QSYS_RETURN_IF_ERROR(EnsureCached(workload_seed, workload_size));
-  return tuple_cache_[std::make_pair(workload_seed, workload_size)];
+  return oracle_run.fingerprints;
 }
 
 std::optional<Divergence> CheckScenario(const Scenario& scenario,
@@ -397,13 +367,11 @@ std::optional<Divergence> CheckScenario(const Scenario& scenario,
   const bool has_fault = scenario.fault != Scenario::Fault::kNone;
   auto want = oracle.Fingerprints(scenario.workload_seed,
                                   scenario.workload_size);
-  auto want_tuples = oracle.TupleFingerprints(scenario.workload_seed,
-                                              scenario.workload_size);
-  if (!want.ok() || !want_tuples.ok()) {
+  if (!want.ok()) {
     Divergence d;
     d.position = -1;
     d.query = -1;
-    d.got = (want.ok() ? want_tuples.status() : want.status()).ToString();
+    d.got = want.status().ToString();
     d.want = "a completed oracle run";
     return d;
   }
@@ -412,10 +380,11 @@ std::optional<Divergence> CheckScenario(const Scenario& scenario,
     const std::string& got = run.fingerprints[i];
     const std::string& expect = want.value()[static_cast<size_t>(qidx)];
     // Terminal failures (kUnavailable, kDeadlineExceeded) are part of
-    // the contract under an injected fault — no replica left, or the
-    // deadline fired first. Without a fault they are divergences,
+    // the contract under an injected fault — no healthy shard left, or
+    // the deadline fired first. Without a fault they are divergences,
     // unless the oracle fails the same query (a genuinely bad keyword
-    // fails candidate generation everywhere).
+    // fails candidate generation everywhere). Every OK answer, fault or
+    // not, must equal the oracle's.
     if (!run.statuses[i].empty()) {
       if (has_fault || expect.empty()) continue;
       Divergence d;
@@ -424,33 +393,6 @@ std::optional<Divergence> CheckScenario(const Scenario& scenario,
       d.got = "terminal failure: " + run.statuses[i];
       d.want = expect;
       return d;
-    }
-    if (run.degraded[i]) {
-      // Degraded answers are only legal for a partitioned scenario
-      // under a fault, and must be a flagged SUBSET of the oracle's
-      // tuples. The subset check is only sound when the oracle's list
-      // is under k: once the oracle truncates at k, dropping a
-      // partition legitimately promotes tuples from below the
-      // oracle's cutoff.
-      const auto& otup = want_tuples.value()[static_cast<size_t>(qidx)];
-      Divergence d;
-      d.position = static_cast<int>(i);
-      d.query = qidx;
-      if (!has_fault || !scenario.partitioned) {
-        d.got = "degraded answer without a partition fault";
-        d.want = expect;
-        return d;
-      }
-      if (static_cast<int>(otup.size()) < SimConfig().k) {
-        for (const std::string& t : run.tuples[i]) {
-          if (std::find(otup.begin(), otup.end(), t) == otup.end()) {
-            d.got = "degraded answer with a tuple outside the oracle set";
-            d.want = expect;
-            return d;
-          }
-        }
-      }
-      continue;
     }
     if (got != expect) {
       Divergence d;

@@ -67,19 +67,9 @@ struct RunOutcome {
   /// when the scenario carries a fault.
   std::vector<std::string> statuses;
 
-  /// Per-position QueryOutcome::degraded flags, parallel to order.
-  std::vector<char> degraded;
-
-  /// Per-position per-tuple fingerprints (FingerprintResults of each
-  /// single result tuple) for OK positions; empty for failed ones.
-  /// The degraded-subset check keys on these: a degraded answer's
-  /// tuples must each appear verbatim in the oracle's tuple set.
-  std::vector<std::vector<std::string>> tuples;
-
   /// Fault-tolerance counters read back at shutdown.
   int64_t retries = 0;
   int64_t deadline_exceeded = 0;
-  int64_t degraded_answers = 0;
   int64_t shard_restarts = 0;
 
   /// Non-empty when the counter surface is inconsistent: the resolution
@@ -113,17 +103,8 @@ class Oracle {
   Result<std::vector<std::string>> Fingerprints(uint64_t workload_seed,
                                                 int workload_size);
 
-  /// Per-tuple fingerprints of the same oracle run, indexed by workload
-  /// query index then rank. Shares the cached run with Fingerprints().
-  Result<std::vector<std::vector<std::string>>> TupleFingerprints(
-      uint64_t workload_seed, int workload_size);
-
  private:
-  Status EnsureCached(uint64_t workload_seed, int workload_size);
-
   std::map<std::pair<uint64_t, int>, std::vector<std::string>> cache_;
-  std::map<std::pair<uint64_t, int>, std::vector<std::vector<std::string>>>
-      tuple_cache_;
 };
 
 /// Runs `scenario` and compares it against the oracle. Returns the

@@ -83,7 +83,6 @@ std::string Scenario::ToString() const {
   out += " shards=" + std::to_string(shards);
   out += " threads=" + std::to_string(exec_threads);
   out += " spill=" + std::to_string(spill ? 1 : 0);
-  out += " place=" + std::to_string(partitioned ? 1 : 0);
   out += " budget=" + std::to_string(budget_bytes);
   out += " drop=" + std::to_string(drop_to_bytes) + "@" +
          std::to_string(drop_after_wave);
@@ -120,10 +119,9 @@ Result<Scenario> Scenario::Parse(const std::string& text) {
   s.exec_threads = std::atoi(thr.c_str());
   QSYS_ASSIGN_OR_RETURN(std::string spill, TokenValue(tokens, "spill"));
   s.spill = spill == "1";
-  // place= is optional: reproducer strings minted before partitioned
-  // placement existed (pinned in tests and docs) parse as replicated.
-  auto place = TokenValue(tokens, "place");
-  s.partitioned = place.ok() && place.value() == "1";
+  // A place= token, left in reproducer strings minted while shards
+  // could own partitions of the data, is ignored: every shard now
+  // serves the one shared dataset.
   QSYS_ASSIGN_OR_RETURN(std::string budget, TokenValue(tokens, "budget"));
   s.budget_bytes = std::strtoll(budget.c_str(), nullptr, 10);
   QSYS_ASSIGN_OR_RETURN(std::string drop, TokenValue(tokens, "drop"));
@@ -190,7 +188,6 @@ std::string Scenario::ShapeKey() const {
   key += "/s" + std::to_string(shards);
   key += "/t" + std::to_string(exec_threads);
   key += spill ? "/spill" : "/nospill";
-  if (partitioned) key += "/part";
   key += budget_bytes == 0 ? "/unlim"
          : budget_bytes >= (128 << 10) ? "/roomy"
                                        : "/tight";
@@ -267,11 +264,6 @@ Scenario GenerateScenario(uint64_t seed) {
         static_cast<int>(rng.Below(s.waves.size() - 1));  // not last
     s.drop_to_bytes = (s.budget_bytes == 0 ? (64 << 10) : s.budget_bytes) / 2;
   }
-
-  // Placement draw LAST: appending it here keeps every earlier draw —
-  // and therefore every pre-placement scenario's shape — bit-identical
-  // for a given seed.
-  s.partitioned = rng.Percent(40);
   return s;
 }
 

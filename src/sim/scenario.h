@@ -46,14 +46,6 @@ struct Scenario {
   int shards = 1;
   int exec_threads = 1;
 
-  /// Data placement: false = every shard holds the full dataset
-  /// (replicated, the historical default), true = hash-partitioned
-  /// ownership (PlacementMode::kPartitioned — shards own index/tuple
-  /// slices and route by term locality). Serialized as `place=0|1`;
-  /// the key is optional on Parse so pre-placement reproducer strings
-  /// stay valid.
-  bool partitioned = false;
-
   /// Whether the disk-spill tier is attached (evictions demote instead
   /// of destroy).
   bool spill = true;

@@ -83,8 +83,7 @@ Scenario ShrinkScenario(const Scenario& failing,
       }
     }
 
-    // Pass 3: collapse parallelism (and partitioned placement — a
-    // reproducer that still fails replicated is not a placement bug).
+    // Pass 3: collapse parallelism.
     if (current.shards > 1 && runs < max_runs) {
       Scenario candidate = current;
       candidate.shards = 1;
@@ -94,11 +93,6 @@ Scenario ShrinkScenario(const Scenario& failing,
     if (current.exec_threads > 1 && runs < max_runs) {
       Scenario candidate = current;
       candidate.exec_threads = 1;
-      if (keep_if_fails(candidate)) progress = true;
-    }
-    if (current.partitioned && runs < max_runs) {
-      Scenario candidate = current;
-      candidate.partitioned = false;
       if (keep_if_fails(candidate)) progress = true;
     }
 

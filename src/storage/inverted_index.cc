@@ -86,30 +86,6 @@ const std::vector<KeywordMatch>& InvertedIndex::Lookup(
   return it == map_.end() ? kEmpty : it->second;
 }
 
-void InvertedIndex::ForEachTerm(
-    const std::function<void(const std::string& term,
-                             const std::vector<KeywordMatch>& matches)>& fn)
-    const {
-  for (const auto& [term, matches] : map_) fn(term, matches);
-}
-
-void InvertedIndex::InsertTerm(const std::string& term,
-                               std::vector<KeywordMatch> matches) {
-  map_[term] = std::move(matches);
-}
-
-int64_t InvertedIndex::EstimateBytes() const {
-  // Key bytes + match payloads + a flat per-entry overhead for the
-  // hash-map node and the vector header.
-  int64_t bytes = 0;
-  for (const auto& [term, matches] : map_) {
-    bytes += static_cast<int64_t>(term.size());
-    bytes += static_cast<int64_t>(matches.size() * sizeof(KeywordMatch));
-    bytes += 64;
-  }
-  return bytes;
-}
-
 void InvertedIndex::AddAlias(const std::string& term, TableId table,
                              double score) {
   // Normalize to the index's lowercase key space: an alias registered

@@ -10,7 +10,6 @@
 #define QSYS_STORAGE_INVERTED_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,25 +45,6 @@ class InvertedIndex {
   /// Registers an extra metadata alias for a table (e.g. domain synonyms
   /// used by the workload generators).
   void AddAlias(const std::string& term, TableId table, double score = 1.0);
-
-  /// Visits every indexed term with its full match list (unspecified
-  /// order). The placement layer uses this to carve per-shard slices.
-  void ForEachTerm(
-      const std::function<void(const std::string& term,
-                               const std::vector<KeywordMatch>& matches)>&
-          fn) const;
-
-  /// Inserts a whole per-term match list verbatim (term already in the
-  /// index's lowercase key space; replaces any existing entry). Slices
-  /// copy owned posting lists through this so a slice-local Lookup is
-  /// bit-identical to the full index's for owned terms.
-  void InsertTerm(const std::string& term,
-                  std::vector<KeywordMatch> matches);
-
-  /// Approximate resident bytes of the term -> matches map (keys,
-  /// match vectors, hash-map overhead) — the per-shard resident-data
-  /// accounting basis for partitioned placement.
-  int64_t EstimateBytes() const;
 
   size_t num_terms() const { return map_.size(); }
 

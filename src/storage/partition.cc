@@ -1,7 +1,5 @@
 #include "src/storage/partition.h"
 
-#include <algorithm>
-
 namespace qsys {
 
 uint64_t Fnv1a64(const std::string& s) {
@@ -18,39 +16,6 @@ uint64_t MixBits64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-PartitionMap::PartitionMap(int num_shards, uint64_t seed)
-    : num_shards_(std::max(1, num_shards)), seed_(seed) {}
-
-int PartitionMap::TermOwner(const std::string& term) const {
-  if (num_shards_ == 1) return 0;
-  return static_cast<int>(MixBits64(Fnv1a64(term) ^ seed_) %
-                          static_cast<uint64_t>(num_shards_));
-}
-
-int PartitionMap::TupleOwner(TableId table, RowId row) const {
-  if (num_shards_ == 1) return 0;
-  // Mix table id and row id into one word before finalizing, so row 0
-  // of every table does not land on one shard.
-  const uint64_t key = (static_cast<uint64_t>(table) << 40) ^
-                       static_cast<uint64_t>(row) ^ seed_;
-  return static_cast<int>(MixBits64(key) %
-                          static_cast<uint64_t>(num_shards_));
-}
-
-TableSlice::TableSlice(const Catalog& catalog, TableId table_id,
-                       const PartitionMap& map, int shard)
-    : table_id_(table_id), shard_(shard) {
-  const Table& table = catalog.table(table_id);
-  for (RowId r = 0; r < table.num_rows(); ++r) {
-    if (map.TupleOwner(table_id, r) == shard) rows_.push_back(r);
-  }
-  bytes_ = table.EstimateRowBytes() * num_rows();
-}
-
-bool TableSlice::OwnsRow(RowId row) const {
-  return std::binary_search(rows_.begin(), rows_.end(), row);
 }
 
 }  // namespace qsys

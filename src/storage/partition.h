@@ -1,34 +1,19 @@
-// Hash-partitioned data ownership for the sharded serving layer.
+// Hashes the shard router (src/shard/shard_router.h) reduces to a
+// shard index.
 //
-// Sharding used to replicate the full catalog into every shard
-// (QueryService::BuildEachEngine runs the dataset builder N times), so
-// adding shards scaled CPU but not data. PartitionMap is the ownership
-// function that fixes that: a pure, seeded hash assignment of every
-// index term and every base-table tuple to exactly one shard. The
-// placement layer (src/core/placement.h) uses it to carve per-shard
-// inverted-index slices and per-shard base-table views (TableSlice /
-// src/source/partitioned_view.h) out of one shared dataset, EMBANKS
-// style: each shard is *resident* only for the slice it owns, and the
-// router (src/shard/shard_router.h) sends a query to the one shard
-// owning all of its terms — or scatters it across partitions when the
-// terms span owners.
-//
-// Determinism is load-bearing: ownership must be a pure function of
-// (term or tuple, num_shards, seed) with no platform dependence, so the
-// same placement decision is made on every shard, in every test, and in
-// the fuzz harness's replayed scenarios. The hashes below are FNV-1a
-// finalized with a splitmix64 mix — FNV's low bit is the parity of the
-// input bytes, so reducing it with a bare modulo would stripe terms by
-// text parity (the routing bug PR 6 fixed); always finalize first.
+// Determinism is load-bearing: routing must be a pure function of the
+// query text with no platform dependence, so the same query lands on
+// the same shard in every run, every test, and the fuzz harness's
+// replayed scenarios. The hashes below are FNV-1a finalized with a
+// splitmix64 mix — FNV's low bit is the parity of the input bytes, so
+// reducing it with a bare modulo would stripe queries by text parity;
+// always finalize first.
 
 #ifndef QSYS_STORAGE_PARTITION_H_
 #define QSYS_STORAGE_PARTITION_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "src/storage/catalog.h"
 
 namespace qsys {
 
@@ -39,70 +24,6 @@ uint64_t Fnv1a64(const std::string& s);
 /// the full 64-bit range so a modulo reduction is unbiased in its low
 /// bits (FNV-1a alone is not — its low bit is input parity).
 uint64_t MixBits64(uint64_t x);
-
-/// \brief Pure, seeded hash assignment of terms and tuples to shards.
-///
-/// Stateless apart from (num_shards, seed); every call is a pure
-/// function, safe to evaluate concurrently from any thread.
-class PartitionMap {
- public:
-  /// A map over `num_shards` shards (clamped to >= 1). `seed` keys the
-  /// hash, so two placements with different seeds cut the data
-  /// differently (rebalancing hook).
-  explicit PartitionMap(int num_shards, uint64_t seed = 0);
-
-  int num_shards() const { return num_shards_; }
-  uint64_t seed() const { return seed_; }
-
-  /// The shard owning index term `term`, in [0, num_shards). Terms are
-  /// hashed in the inverted index's key space (lowercase); callers pass
-  /// already-tokenized terms. Whole per-term posting lists stay intact
-  /// on the owner, which is what makes slice-local candidate generation
-  /// bit-identical to full-index generation for owned terms.
-  int TermOwner(const std::string& term) const;
-
-  /// The shard owning tuple `row` of table `table`, in [0, num_shards).
-  int TupleOwner(TableId table, RowId row) const;
-
- private:
-  int num_shards_;
-  uint64_t seed_;
-};
-
-/// \brief One shard's ownership view of one base table: which rows of
-/// the shared table this shard is resident for, per the tuple-hash
-/// assignment. The slice does not copy tuples — the catalog stays the
-/// single simulated remote world all shards execute against — it is the
-/// unit of resident-bytes accounting and of the coverage invariant
-/// (every row owned by exactly one shard).
-class TableSlice {
- public:
-  /// The slice of `table_id` (in `catalog`) owned by `shard` under
-  /// `map`. Materializes the owned row-id list once (deterministic,
-  /// ascending).
-  TableSlice(const Catalog& catalog, TableId table_id,
-             const PartitionMap& map, int shard);
-
-  TableId table_id() const { return table_id_; }
-  int shard() const { return shard_; }
-
-  /// Owned row ids, ascending.
-  const std::vector<RowId>& rows() const { return rows_; }
-  int64_t num_rows() const { return static_cast<int64_t>(rows_.size()); }
-
-  /// True when this slice owns `row`.
-  bool OwnsRow(RowId row) const;
-
-  /// Approximate resident bytes of the owned rows (schema row estimate
-  /// x owned count — the same accounting basis the state manager uses).
-  int64_t EstimateBytes() const { return bytes_; }
-
- private:
-  TableId table_id_;
-  int shard_;
-  std::vector<RowId> rows_;
-  int64_t bytes_ = 0;
-};
 
 }  // namespace qsys
 

@@ -51,8 +51,8 @@ void Table::Finalize() {
     for (const Row& r : rows_) seen.insert(r[c].Hash());
     distinct_counts_[c] = static_cast<int64_t>(seen.size());
   }
-  hash_indexes_.clear();
-  hash_indexes_.resize(schema_.num_fields());
+  hash_indexes_ = std::make_unique<LazyHashIndex[]>(
+      static_cast<size_t>(schema_.num_fields()));
 }
 
 double Table::RowScore(RowId id) const {
@@ -68,14 +68,14 @@ int64_t Table::DistinctCount(int column) const {
 }
 
 const HashIndex& Table::GetHashIndex(int column) const {
-  auto& slot = hash_indexes_[column];
-  if (!slot) {
-    slot = std::make_unique<HashIndex>(column);
+  LazyHashIndex& slot = hash_indexes_[column];
+  std::call_once(slot.built, [&] {
+    slot.index = std::make_unique<HashIndex>(column);
     for (RowId i = 0; i < rows_.size(); ++i) {
-      slot->Add(rows_[i][column], i);
+      slot.index->Add(rows_[i][column], i);
     }
-  }
-  return *slot;
+  });
+  return *slot.index;
 }
 
 int64_t Table::EstimateRowBytes() const {

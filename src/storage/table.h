@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -77,7 +78,8 @@ class Table {
   int64_t DistinctCount(int column) const;
 
   /// Returns (building on first use) the hash index for `column`.
-  /// Only valid after Finalize().
+  /// Only valid after Finalize(). Safe to call from many threads: each
+  /// column's index is built exactly once.
   const HashIndex& GetHashIndex(int column) const;
 
   /// Rough in-memory footprint of `n` rows of this schema, in bytes.
@@ -89,7 +91,12 @@ class Table {
   std::vector<Row> rows_;
   std::vector<RowId> score_order_;
   std::vector<int64_t> distinct_counts_;
-  mutable std::vector<std::unique_ptr<HashIndex>> hash_indexes_;
+  /// One lazily built hash index per column (sized by Finalize()).
+  struct LazyHashIndex {
+    std::once_flag built;
+    std::unique_ptr<HashIndex> index;
+  };
+  mutable std::unique_ptr<LazyHashIndex[]> hash_indexes_;
   double max_score_ = 0.0;
   double min_score_ = 0.0;
   bool finalized_ = false;

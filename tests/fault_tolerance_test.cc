@@ -1,15 +1,14 @@
 // Fault tolerance in the serving stack (src/serve/ + src/shard/):
 // per-query deadlines, the ShardSupervisor health state machine,
-// bounded retry with exponential backoff, replicated failover,
-// partitioned degraded answers, crashed-shard restart, and bounded
-// drain on shutdown — all driven through scripted shard faults
+// bounded retry with exponential backoff, failover to healthy shards,
+// crashed-shard restart over the shared dataset, and bounded drain on
+// shutdown — all driven through scripted shard faults
 // (src/shard/fault_injection.h).
 //
 // The serving contract these tests pin: every submitted query resolves
 // terminally (answer, kDeadlineExceeded, or kUnavailable) — never a
-// hang; answers recomputed on a healthy replica are byte-equivalent to
-// the fault-free run; degraded answers are flagged subsets with
-// term-coverage attribution.
+// hang; answers recomputed on a healthy shard are byte-equivalent to
+// the fault-free run.
 
 #include <gtest/gtest.h>
 
@@ -39,58 +38,6 @@ using ::qsys::testing::BuildTinyBioDataset;
 using ::qsys::testing::FastTestConfig;
 
 Status TinyBuilder(Engine& e) { return BuildTinyBioDataset(e); }
-
-/// A two-entity dataset where the keywords "blue" and "red" match BOTH
-/// a table name (blue_info / red_info — a metadata match carries no
-/// term selection) and row content of the opposite table. Losing the
-/// partition that owns such a term kills only the content candidate
-/// networks; the metadata-backed ones survive, so partitioned failover
-/// can produce a *degraded* answer instead of kUnavailable. (In the
-/// tiny-bio dataset metadata and content vocabularies are disjoint,
-/// which makes every query all-or-nothing under a partition loss.)
-Status BuildColorDataset(Engine& sys) {
-  Catalog& catalog = sys.catalog();
-  auto entity_schema = [](const std::string& name) {
-    TableSchema s(name, {{"id", FieldType::kInt},
-                         {"name", FieldType::kString},
-                         {"description", FieldType::kString},
-                         {"score", FieldType::kDouble}});
-    s.set_key_field(0);
-    s.set_score_field(3);
-    return s;
-  };
-  QSYS_ASSIGN_OR_RETURN(TableId blue,
-                        catalog.AddTable(entity_schema("blue_info")));
-  QSYS_ASSIGN_OR_RETURN(TableId red,
-                        catalog.AddTable(entity_schema("red_info")));
-  for (int r = 0; r < 8; ++r) {
-    QSYS_RETURN_IF_ERROR(catalog.table(blue).AddRow(
-        {Value(static_cast<int64_t>(r)),
-         Value(std::string(r % 2 ? "red" : "rust")),
-         Value(std::string("red rust")), Value(1.0 - 0.05 * r)}));
-    QSYS_RETURN_IF_ERROR(catalog.table(red).AddRow(
-        {Value(static_cast<int64_t>(r)),
-         Value(std::string(r % 2 ? "blue" : "sky")),
-         Value(std::string("blue sky")), Value(1.0 - 0.04 * r)}));
-  }
-  TableSchema bridge("blue2red", {{"id", FieldType::kInt},
-                                  {"a_id", FieldType::kInt},
-                                  {"b_id", FieldType::kInt},
-                                  {"sim", FieldType::kDouble}});
-  bridge.set_key_field(0);
-  bridge.set_score_field(3);
-  QSYS_ASSIGN_OR_RETURN(TableId b2r, catalog.AddTable(std::move(bridge)));
-  for (int r = 0; r < 12; ++r) {
-    QSYS_RETURN_IF_ERROR(catalog.table(b2r).AddRow(
-        {Value(static_cast<int64_t>(r)), Value(static_cast<int64_t>(r % 8)),
-         Value(static_cast<int64_t>((r * 3 + 1) % 8)),
-         Value(1.0 - 0.03 * r)}));
-  }
-  SchemaGraph& graph = sys.InitSchemaGraph();
-  graph.AddEdgeByIndex(b2r, 1, blue, 0, 0.8);
-  graph.AddEdgeByIndex(b2r, 2, red, 0, 0.7);
-  return sys.FinalizeCatalog();
-}
 
 const std::vector<std::string>& TestQueries() {
   static const std::vector<std::string> queries = {
@@ -130,23 +77,18 @@ bool PumpUntilResolved(QueryService& service,
 }
 
 /// Fault-free single-shard answers for `queries`: the byte-equivalence
-/// baseline, keyed by keyword text. `tuples_out`, when non-null,
-/// additionally receives each answer's per-tuple fingerprints (for
-/// subset checks against degraded answers).
+/// baseline, keyed by keyword text.
 std::map<std::string, std::string> CleanAnswers(
-    const std::vector<std::string>& queries,
-    const CandidateGenOptions& gen = {},
-    std::map<std::string, std::vector<std::string>>* tuples_out = nullptr,
-    Status (*builder)(Engine&) = TinyBuilder) {
+    const std::vector<std::string>& queries) {
   std::map<std::string, std::string> answers;
   QueryService service(FaultTestOptions(1));
-  EXPECT_TRUE(builder(service.engine()).ok());
+  EXPECT_TRUE(TinyBuilder(service.engine()).ok());
   EXPECT_TRUE(service.Start().ok());
   auto session = service.OpenSession("baseline");
   EXPECT_TRUE(session.ok());
   std::vector<QueryTicket> tickets;
   for (const std::string& q : queries) {
-    auto t = service.Submit(session.value(), q, gen);
+    auto t = service.Submit(session.value(), q);
     EXPECT_TRUE(t.ok()) << q;
     tickets.push_back(std::move(t).value());
   }
@@ -156,13 +98,6 @@ std::map<std::string, std::string> CleanAnswers(
     const QueryOutcome& out = tickets[i].Wait();
     EXPECT_TRUE(out.status.ok()) << queries[i];
     answers[queries[i]] = FingerprintResults(out.results);
-    if (tuples_out != nullptr) {
-      std::vector<std::string> tuples;
-      for (const ResultTuple& t : out.results) {
-        tuples.push_back(FingerprintResults({t}));
-      }
-      (*tuples_out)[queries[i]] = std::move(tuples);
-    }
   }
   return answers;
 }
@@ -408,7 +343,7 @@ TEST(FaultToleranceTest, DeadlineBeatsRetryBackoff) {
   EXPECT_TRUE(service.Shutdown().ok());
 }
 
-// ---- replicated failover ----
+// ---- failover ----
 
 TEST(FaultToleranceTest, StalledShardFailsOverByteEquivalent) {
   const std::map<std::string, std::string> clean = CleanAnswers(TestQueries());
@@ -435,13 +370,12 @@ TEST(FaultToleranceTest, StalledShardFailsOverByteEquivalent) {
   ASSERT_TRUE(PumpUntilResolved(service, tickets))
       << "queries on the stalled shard must fail over, not hang";
 
-  // Replicated placement: failover recomputes the FULL answer on a
-  // healthy replica — byte-equivalent, never degraded.
+  // Failover recomputes the full answer on a healthy shard over the
+  // same dataset — byte-equivalent.
   for (size_t i = 0; i < tickets.size(); ++i) {
     const QueryOutcome& out = tickets[i].Wait();
     ASSERT_TRUE(out.status.ok()) << TestQueries()[i] << ": "
                                  << out.status.ToString();
-    EXPECT_FALSE(out.degraded);
     EXPECT_EQ(FingerprintResults(out.results), clean.at(TestQueries()[i]))
         << TestQueries()[i];
   }
@@ -519,92 +453,53 @@ TEST(FaultToleranceTest, CrashedShardRestartsAndServesAgain) {
   EXPECT_TRUE(service.Shutdown().ok());
 }
 
-// ---- partitioned degradation ----
-
-TEST(FaultTolerancePartitionedTest, DegradedAnswersAreFlaggedSubsets) {
-  // BuildColorDataset: "blue"/"red" match both a table name and row
-  // content, so a lost partition kills only a query's content CQs —
-  // the metadata-backed ones survive as a flagged partial answer.
-  // "rust"/"sky" are content-only: queries over just those stay
-  // all-or-nothing (complete, or terminal kUnavailable).
-  const std::vector<std::string> queries = {
-      "blue red", "blue rust", "red sky", "rust sky",
-  };
-  const CandidateGenOptions gen;
-
-  std::map<std::string, std::vector<std::string>> clean_tuples;
-  const std::map<std::string, std::string> clean =
-      CleanAnswers(queries, gen, &clean_tuples, BuildColorDataset);
-  const int k = FastTestConfig().k;
-
-  // Crash each shard in turn: whichever owns a query's terms, losing it
-  // must yield a flagged subset (or a terminal failure when nothing
-  // reachable covers the query) — never a silently wrong answer.
-  int64_t total_degraded = 0;
-  for (int crash_shard = 0; crash_shard < 2; ++crash_shard) {
-    int64_t run_degraded = 0;
-    ServiceOptions options = FaultTestOptions(2);
-    options.config.placement = PlacementMode::kPartitioned;
-    options.stall_timeout_ms = 20;
-    QueryService service(options);
-    ASSERT_TRUE(service.BuildEachEngine(BuildColorDataset).ok());
-    ASSERT_TRUE(service.Start().ok());
-    ShardFaultPlan plan;
-    plan.target_shard = crash_shard;
-    plan.crash_at_seq = 0;
-    ScriptedShardFaultInjector injector(plan);
-    service.InstallShardFaultInjector(&injector);
-    auto session = service.OpenSession("degraded");
-    ASSERT_TRUE(session.ok());
-
-    std::vector<QueryTicket> tickets;
-    for (const std::string& q : queries) {
-      auto t = service.Submit(session.value(), q, gen);
-      ASSERT_TRUE(t.ok()) << q;
-      tickets.push_back(std::move(t).value());
-    }
-    ASSERT_TRUE(PumpUntilResolved(service, tickets))
-        << "crash of partition " << crash_shard << " must not hang";
-
-    for (size_t i = 0; i < tickets.size(); ++i) {
-      const std::string& q = queries[i];
-      const QueryOutcome& out = tickets[i].Wait();
-      if (!out.status.ok()) continue;  // no reachable coverage: terminal
-      if (!out.degraded) {
-        // Un-degraded answers are complete answers, byte-equivalent.
-        EXPECT_TRUE(out.missing_terms.empty()) << q;
-        EXPECT_EQ(FingerprintResults(out.results), clean.at(q)) << q;
-        continue;
-      }
-      // Degraded: flagged, term-attributed, and a subset of the true
-      // answer. The subset check is only sound when the baseline was
-      // not truncated at k (dropping a partition can promote tuples
-      // from below the cutoff).
-      EXPECT_FALSE(out.missing_terms.empty())
-          << q << ": degraded answers must attribute missing terms";
-      const auto& baseline = clean_tuples.at(q);
-      if (static_cast<int>(baseline.size()) < k) {
-        for (const ResultTuple& t : out.results) {
-          const std::string tuple_fp = FingerprintResults({t});
-          EXPECT_NE(std::find(baseline.begin(), baseline.end(), tuple_fp),
-                    baseline.end())
-              << q << ": degraded answer contains a tuple the complete "
-              << "answer does not";
-        }
-      }
-      run_degraded += 1;
-    }
-    EXPECT_EQ(service.counters().degraded.load(), run_degraded)
-        << "counter must match the flagged outcomes (crash_shard="
-        << crash_shard << ")";
-    total_degraded += run_degraded;
-    // Shutdown propagates the crashed shard's terminal kUnavailable
-    // (partitioned shards are not restarted) — expected, not an error.
-    (void)service.Shutdown();
+TEST(FaultToleranceTest, BuilderRunsOnceAndRestartsShareTheDataset) {
+  // One dataset for every shard: the builder runs once, every shard
+  // reads the same catalog object, and a crashed shard restarts as a
+  // fresh engine over that same catalog instead of rebuilding it.
+  ServiceOptions options = FaultTestOptions(3);
+  options.stall_timeout_ms = 20;
+  QueryService service(options);
+  int builds = 0;
+  ASSERT_TRUE(service
+                  .BuildEachEngine([&builds](Engine& e) {
+                    ++builds;
+                    return BuildTinyBioDataset(e);
+                  })
+                  .ok());
+  ASSERT_TRUE(service.Start().ok());
+  EXPECT_EQ(builds, 1);
+  const Catalog* catalog = &service.shard_engine(0).catalog();
+  for (int i = 0; i < service.num_shards(); ++i) {
+    EXPECT_EQ(&service.shard_engine(i).catalog(), catalog) << "shard " << i;
   }
-  // Across both crash choices some query must actually have degraded —
-  // otherwise this test is vacuous.
-  EXPECT_GT(total_degraded, 0);
+
+  const Engine* before_crash = &service.shard_engine(1);
+  ShardFaultPlan plan;
+  plan.target_shard = 1;
+  plan.crash_at_seq = 0;
+  ScriptedShardFaultInjector injector(plan);
+  service.InstallShardFaultInjector(&injector);
+  auto session = service.OpenSession("shared");
+  ASSERT_TRUE(session.ok());
+  std::vector<QueryTicket> tickets;
+  for (const std::string& q : TestQueries()) {
+    auto t = service.Submit(session.value(), q);
+    ASSERT_TRUE(t.ok()) << q;
+    tickets.push_back(std::move(t).value());
+  }
+  ASSERT_TRUE(PumpUntilResolved(service, tickets));
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    EXPECT_TRUE(tickets[i].Wait().status.ok()) << TestQueries()[i];
+  }
+  EXPECT_TRUE(injector.crash_fired());
+  EXPECT_EQ(service.counters().shard_restarts.load(), 1);
+  EXPECT_NE(&service.shard_engine(1), before_crash);
+  EXPECT_EQ(builds, 1);
+  for (int i = 0; i < service.num_shards(); ++i) {
+    EXPECT_EQ(&service.shard_engine(i).catalog(), catalog) << "shard " << i;
+  }
+  EXPECT_TRUE(service.Shutdown().ok());
 }
 
 // ---- bounded shutdown ----

@@ -61,6 +61,13 @@ TEST(FuzzHarnessTest, ScenarioStringRoundTrips) {
   ASSERT_TRUE(example.ok()) << example.status().ToString();
   EXPECT_EQ(example.value().NumQueries(), 3);
   EXPECT_EQ(example.value().drop_after_wave, 0);
+  // Reproducers pinned while shards could own data partitions carry a
+  // place= token; it still parses and is ignored.
+  auto legacy = Scenario::Parse(
+      "sim1 wseed=7 wn=10 order=0,1,2 waves=2,1 shards=1 threads=1 "
+      "spill=1 place=1 budget=65536 drop=32768@0");
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_EQ(legacy.value().ToString(), example.value().ToString());
 }
 
 TEST(FuzzHarnessTest, ParseRejectsInconsistentScenarios) {
@@ -91,7 +98,6 @@ TEST(FuzzHarnessTest, ParseRejectsInconsistentScenarios) {
 TEST(FuzzHarnessTest, GenerateScenarioIsDeterministicAndVaried) {
   std::set<std::string> shapes;
   bool saw_repeat = false, saw_drop = false, saw_multiwave = false;
-  bool saw_partitioned = false, saw_replicated = false;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     const Scenario a = GenerateScenario(seed);
     const Scenario b = GenerateScenario(seed);
@@ -103,16 +109,12 @@ TEST(FuzzHarnessTest, GenerateScenarioIsDeterministicAndVaried) {
                  a.ShapeKey().find("/repeat") != std::string::npos;
     saw_drop = saw_drop || a.drop_after_wave >= 0;
     saw_multiwave = saw_multiwave || a.waves.size() > 1;
-    saw_partitioned = saw_partitioned || a.partitioned;
-    saw_replicated = saw_replicated || !a.partitioned;
   }
   // The generator actually explores the space.
   EXPECT_GT(shapes.size(), 15u);
   EXPECT_TRUE(saw_repeat);
   EXPECT_TRUE(saw_drop);
   EXPECT_TRUE(saw_multiwave);
-  EXPECT_TRUE(saw_partitioned);
-  EXPECT_TRUE(saw_replicated);
 }
 
 // ---- the named regression ----
@@ -164,7 +166,6 @@ TEST(FuzzHarnessTest, ShrinkerConvergesOnPlantedBug) {
   s.exec_threads = 2;
   s.spill = false;
   s.budget_bytes = 0;
-  s.partitioned = true;
 
   Oracle oracle;
   SimOptions planted;
@@ -180,9 +181,6 @@ TEST(FuzzHarnessTest, ShrinkerConvergesOnPlantedBug) {
   EXPECT_LE(minimal.waves.size(), 2u) << minimal.ToString();
   EXPECT_EQ(minimal.shards, 1) << minimal.ToString();
   EXPECT_EQ(minimal.exec_threads, 1) << minimal.ToString();
-  // The planted bug is placement-independent, so the partitioned knob
-  // must shrink away too.
-  EXPECT_FALSE(minimal.partitioned) << minimal.ToString();
   // The result provably still reproduces.
   EXPECT_TRUE(fails(minimal));
   // And the reduction is deterministic: same failing input, same
@@ -278,10 +276,8 @@ TEST(FuzzHarnessTest, SeedSweepFindsNoDivergence) {
 // enforces per position:
 //   * zero hangs — every run completes inside the pump bound and every
 //     ticket resolves terminally;
-//   * un-degraded OK answers stay byte-equivalent to the oracle even
-//     when they were retried onto a replica;
-//   * degraded answers appear only under a fault on partitioned
-//     placement, flagged, and are a subset of the oracle's tuples;
+//   * every OK answer stays byte-equivalent to the oracle, even when
+//     it was retried onto another shard;
 //   * the counter surface conserves (submitted == resolved) and agrees
 //     across ServiceCounters, MetricsText, and the Prometheus export.
 TEST(FuzzHarnessTest, FaultSweepFindsNoUnflaggedDivergence) {
@@ -290,7 +286,7 @@ TEST(FuzzHarnessTest, FaultSweepFindsNoUnflaggedDivergence) {
   Oracle oracle;
   std::set<std::string> shapes;
   bool saw_crash = false, saw_stall = false;
-  int64_t retries = 0, restarts = 0, degraded = 0, deadline = 0;
+  int64_t retries = 0, restarts = 0, deadline = 0;
   for (int i = 0; i < scenarios; ++i) {
     const uint64_t seed = static_cast<uint64_t>(seed_base + i);
     Scenario s = GenerateFaultScenario(seed);
@@ -301,7 +297,6 @@ TEST(FuzzHarnessTest, FaultSweepFindsNoUnflaggedDivergence) {
     auto divergence = CheckScenario(s, oracle, {}, &outcome);
     retries += outcome.retries;
     restarts += outcome.shard_restarts;
-    degraded += outcome.degraded_answers;
     deadline += outcome.deadline_exceeded;
     if (!divergence.has_value()) continue;
     auto fails = [&](const Scenario& candidate) {
@@ -320,7 +315,7 @@ TEST(FuzzHarnessTest, FaultSweepFindsNoUnflaggedDivergence) {
   // engaged — faults that never fire would pass vacuously.
   EXPECT_TRUE(saw_crash);
   EXPECT_TRUE(saw_stall);
-  EXPECT_GT(retries + restarts + degraded + deadline, 0)
+  EXPECT_GT(retries + restarts + deadline, 0)
       << "no injected fault ever engaged the recovery paths";
 }
 

@@ -416,8 +416,6 @@ TEST(ObsServeTest, ServeRunProducesWellFormedSpans) {
 
   QueryService service(options);
   ASSERT_TRUE(BuildTinyBioDataset(service.engine()).ok());
-  ASSERT_TRUE(
-      BuildTinyBioDataset(service.shard_engine(1)).ok());
   ASSERT_TRUE(service.Start().ok());
 
   const std::vector<std::string> queries = {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/query/score.h"
 
 namespace qsys {
@@ -55,6 +57,10 @@ struct ScoreCase {
   const char* name;
   ScoreFunction fn;
 };
+
+// Print a case by name. The default byte dump includes the address of
+// `name`, which would change the listed test IDs on every build.
+void PrintTo(const ScoreCase& c, std::ostream* os) { *os << c.name; }
 
 class ScoreMonotonicityTest : public ::testing::TestWithParam<ScoreCase> {};
 

@@ -406,13 +406,23 @@ TEST(ShardedServiceTest, ConcurrentClientsAcrossShards) {
             static_cast<int64_t>(queries.size()));
 }
 
-TEST(ShardedServiceTest, StartRejectsUnpopulatedShards) {
+TEST(ShardedServiceTest, StartRejectsShardsPopulatedOnTheirOwn) {
   ServiceOptions options;
   options.config = FastTestConfig();
   options.config.num_shards = 2;
+  {
+    // Populating shard 0 alone is correct: Start() shares its dataset.
+    QueryService service(options);
+    ASSERT_TRUE(BuildTinyBioDataset(service.engine()).ok());
+    ASSERT_TRUE(service.Start().ok());
+    EXPECT_EQ(&service.shard_engine(1).catalog(),
+              &service.shard_engine(0).catalog());
+    EXPECT_TRUE(service.Shutdown().ok());
+  }
+  // A shard built on its own would serve a different copy of the data.
   QueryService service(options);
-  // Only shard 0 gets the dataset — the legacy single-shard habit.
-  ASSERT_TRUE(BuildTinyBioDataset(service.engine()).ok());
+  ASSERT_TRUE(BuildTinyBioDataset(service.shard_engine(0)).ok());
+  ASSERT_TRUE(BuildTinyBioDataset(service.shard_engine(1)).ok());
   EXPECT_EQ(service.Start().code(), StatusCode::kFailedPrecondition);
 }
 

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "src/storage/catalog.h"
 #include "src/storage/inverted_index.h"
 
@@ -77,6 +81,31 @@ TEST(TableTest, HashIndexLookup) {
   EXPECT_EQ(idx.Lookup(Value(int64_t{0})).size(), 4u);  // 0,3,6,9
   EXPECT_EQ(idx.Lookup(Value(int64_t{1})).size(), 3u);
   EXPECT_TRUE(idx.Lookup(Value(int64_t{42})).empty());
+}
+
+TEST(TableTest, ConcurrentFirstHashIndexUseBuildsOnce) {
+  // Two threads making the first probe of one column — two ATCs of one
+  // engine, or two shards over the shared dataset — must get the same
+  // complete index.
+  Table t(ScoredSchema());
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(t.AddRow({Value(int64_t{i % 7}), Value("x"),
+                          Value(0.5)}).ok());
+  }
+  t.Finalize();
+  std::atomic<bool> go{false};
+  const HashIndex* seen[2] = {nullptr, nullptr};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&t, &go, &seen, i] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      seen[i] = &t.GetHashIndex(0);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(seen[0]->Lookup(Value(int64_t{0})).size(), 143u);  // 0,7,...,994
 }
 
 TEST(TableTest, DistinctCounts) {

@@ -49,7 +49,6 @@ EXPECTED_COUNTERS = {
     "qsys_route_scatter_total",
     "qsys_query_retries_total",
     "qsys_deadline_exceeded_total",
-    "qsys_degraded_answers_total",
     "qsys_shard_restarts_total",
 }
 EXPECTED_GAUGES = {
