@@ -588,11 +588,15 @@ void Engine::DrainCompletions() {
       if (completion_listener_) completion_listener_(m);
       if (!retain_history_) {
         // Serving mode: the listener has copied everything the client
-        // gets; drop the UserQuery and retire the query's rank-merge
-        // from the plan graph so memory and per-round scheduling cost
-        // stay bounded. (Plan-graph pointers to the UserQuery do not
-        // outlive Graft(); upstream operator state survives for reuse
-        // under the eviction budget.)
+        // gets; drop the UserQuery and retire the query: its rank-merge,
+        // recovery m-joins and replay streams are freed
+        // (PlanGraph::RetireRankMerge). What survives is the grafter's
+        // reusable m-joins and their tables, bounded by the number of
+        // distinct plan shapes and by the eviction budget — the
+        // qsys_plan_graph_operators gauge shows it, and
+        // QueryServiceTest.PlanGraphStaysBoundedUnderRepeatTraffic pins
+        // it. (Plan-graph pointers to the UserQuery do not outlive
+        // Graft().)
         uqs_.erase(m.uq_id);
         atc->RetireCompleted(m.uq_id);
       }
@@ -614,6 +618,14 @@ void Engine::FinishRun() {
 ExecStats Engine::aggregate_stats() const {
   ExecStats total;
   for (const auto& atc : atcs_) total.Merge(atc->stats());
+  return total;
+}
+
+int64_t Engine::plan_graph_operators() const {
+  int64_t total = 0;
+  for (const auto& atc : atcs_) {
+    total += atc->graph().num_operators() + atc->graph().num_replay_streams();
+  }
   return total;
 }
 

@@ -278,6 +278,11 @@ class Engine {
   /// Aggregate execution statistics over all ATCs.
   ExecStats aggregate_stats() const;
 
+  /// Live plan-graph operators plus replay streams, summed over all
+  /// ATCs (the qsys_plan_graph_operators gauge). Read with the ATC
+  /// drain workers quiesced.
+  int64_t plan_graph_operators() const;
+
   /// Top-k results of a completed user query (nullptr if unknown).
   const std::vector<ResultTuple>* ResultsFor(int uq_id) const;
 

@@ -108,10 +108,15 @@ class Atc {
   /// without touching any other ATC.
   const std::vector<ResultTuple>* ResultsFor(int uq_id) const;
 
-  /// Serving-mode GC: retires the completed user query's rank-merge
-  /// from the plan graph and forgets its recording slot, so a
-  /// long-lived service's graph and bookkeeping stay bounded. Call
-  /// only after the query's results have been copied out.
+  /// Serving-mode GC: frees the completed user query's rank-merge,
+  /// with the recovery m-joins and replay streams built for it
+  /// (PlanGraph::RetireRankMerge), and forgets its recording slot. The
+  /// graph keeps only live queries plus the grafter's reusable m-joins
+  /// and their retained tables, which the number of distinct plan
+  /// shapes and the eviction budget bound (see
+  /// QueryServiceTest.PlanGraphStaysBoundedUnderRepeatTraffic and the
+  /// qsys_plan_graph_operators gauge). Call only after the query's
+  /// results have been copied out.
   void RetireCompleted(int uq_id);
 
  private:

@@ -81,9 +81,6 @@ class MJoinOp : public Operator {
   bool module_is_stream(int port) const {
     return modules_[port].kind == ModuleKind::kStream;
   }
-  bool module_is_frozen(int port) const {
-    return modules_[port].kind == ModuleKind::kFrozen;
-  }
 
   /// Current probe order the operator would use from `port` (module
   /// indices, for tests and plan rendering).

@@ -4,40 +4,47 @@
 
 namespace qsys {
 
-MJoinOp* PlanGraph::AddMJoin(Expr expr) {
-  auto op = std::make_unique<MJoinOp>(std::move(expr), catalog_, adaptive_);
-  op->set_node_id(next_node_id_++);
-  MJoinOp* raw = op.get();
-  mjoin_by_sig_[raw->expr().Signature()].push_back(raw);
-  operators_.push_back(std::move(op));
+template <typename Op>
+Op* PlanGraph::Own(std::unique_ptr<Op> op) {
+  Op* raw = op.get();
+  raw->set_node_id(next_node_id_++);
+  operators_.emplace(raw->node_id(), std::move(op));
   return raw;
 }
 
-SplitOp* PlanGraph::AddSplit() {
-  auto op = std::make_unique<SplitOp>();
-  op->set_node_id(next_node_id_++);
-  SplitOp* raw = op.get();
-  operators_.push_back(std::move(op));
+MJoinOp* PlanGraph::AddMJoin(Expr expr) {
+  MJoinOp* raw = Own(
+      std::make_unique<MJoinOp>(std::move(expr), catalog_, adaptive_));
+  mjoin_by_sig_[raw->expr().Signature()].push_back(raw);
   return raw;
 }
+
+MJoinOp* PlanGraph::AddRecoveryMJoin(RankMergeOp* merge, Expr expr) {
+  MJoinOp* raw = Own(
+      std::make_unique<MJoinOp>(std::move(expr), catalog_, adaptive_));
+  merge_ties_[merge].recovery_ops.push_back(raw);
+  return raw;
+}
+
+SplitOp* PlanGraph::AddSplit() { return Own(std::make_unique<SplitOp>()); }
 
 RankMergeOp* PlanGraph::AddRankMerge(int uq_id, int k,
                                      VirtualTime submit_time_us) {
-  auto op = std::make_unique<RankMergeOp>(uq_id, k, submit_time_us);
-  op->set_node_id(next_node_id_++);
-  RankMergeOp* raw = op.get();
+  RankMergeOp* raw =
+      Own(std::make_unique<RankMergeOp>(uq_id, k, submit_time_us));
   rank_merges_.push_back(raw);
-  operators_.push_back(std::move(op));
+  merge_ties_.try_emplace(raw);
   return raw;
 }
 
-ReplayStream* PlanGraph::AddReplayStream(Expr expr, double initial_max_sum,
+ReplayStream* PlanGraph::AddReplayStream(RankMergeOp* merge, Expr expr,
+                                         double initial_max_sum,
                                          const JoinHashTable* table,
                                          int max_epoch_exclusive) {
   auto stream = std::make_unique<ReplayStream>(
       std::move(expr), initial_max_sum, table, max_epoch_exclusive);
   ReplayStream* raw = stream.get();
-  replay_streams_.push_back(std::move(stream));
+  merge_ties_[merge].replays.push_back(std::move(stream));
   return raw;
 }
 
@@ -58,6 +65,9 @@ void PlanGraph::ConnectSource(StreamingSource* src, Consumer c) {
 }
 
 void PlanGraph::ConnectMJoin(MJoinOp* producer, Consumer c) {
+  if (auto ties = merge_ties_.find(c.op); ties != merge_ties_.end()) {
+    ties->second.feeders.push_back(producer);
+  }
   if (producer->consumer().op == nullptr) {
     producer->SetConsumer(c);
     return;
@@ -83,13 +93,11 @@ void PlanGraph::RouteFromSource(StreamingSource* src,
   }
 }
 
-std::vector<MJoinOp*> PlanGraph::FindMJoins(
+const std::vector<MJoinOp*>& PlanGraph::FindMJoins(
     const std::string& signature) const {
+  static const std::vector<MJoinOp*> kNone;
   auto it = mjoin_by_sig_.find(signature);
-  if (it == mjoin_by_sig_.end()) return {};
-  std::vector<MJoinOp*> out = it->second;
-  std::reverse(out.begin(), out.end());
-  return out;
+  return it == mjoin_by_sig_.end() ? kNone : it->second;
 }
 
 bool PlanGraph::SourceAttached(const StreamingSource* src) const {
@@ -114,26 +122,38 @@ void PlanGraph::UnlinkCq(int cq_id) {
       // hash-table state survives for reuse until the state manager
       // evicts it (§6.3).
       op->set_active(false);
+      cq_deps_.erase(dit);
     }
   }
   cq_to_ops_.erase(it);
 }
 
 void PlanGraph::RetireRankMerge(RankMergeOp* rm) {
+  // Deactivating the recovery m-joins here also unpins the tables
+  // their frozen modules borrowed (MJoinOp::OnDeactivate).
   for (int cq_id : rm->all_cq_ids()) UnlinkCq(cq_id);
-  rm->set_active(false);
-  rm->ReleaseState();
   rank_merges_.erase(
       std::remove(rank_merges_.begin(), rank_merges_.end(), rm),
       rank_merges_.end());
-}
-
-std::vector<MJoinOp*> PlanGraph::mjoins() const {
-  std::vector<MJoinOp*> out;
-  for (const auto& op : operators_) {
-    if (auto* mj = dynamic_cast<MJoinOp*>(op.get())) out.push_back(mj);
+  auto ties = merge_ties_.find(rm);
+  for (MJoinOp* feeder : ties->second.feeders) {
+    if (feeder->consumer().op == rm) {
+      feeder->SetConsumer({});
+    } else if (auto it = mjoin_split_.find(feeder);
+               it != mjoin_split_.end()) {
+      it->second->RemoveConsumer(rm);
+    }
   }
-  return out;
+  for (MJoinOp* op : ties->second.recovery_ops) {
+    op->set_active(false);
+    cq_deps_.erase(op);
+    operators_.erase(op->node_id());
+  }
+  for (const auto& replay : ties->second.replays) {
+    sources_.erase(replay.get());
+  }
+  merge_ties_.erase(ties);
+  operators_.erase(rm->node_id());
 }
 
 std::vector<StreamingSource*> PlanGraph::attached_sources() const {
@@ -145,16 +165,13 @@ std::vector<StreamingSource*> PlanGraph::attached_sources() const {
   return out;
 }
 
-int64_t PlanGraph::StateSizeBytes() const {
-  int64_t total = 0;
-  for (const auto& op : operators_) {
-    if (auto* mj = dynamic_cast<MJoinOp*>(op.get())) {
-      total += mj->StateSizeBytes();
-    } else if (auto* rm = dynamic_cast<RankMergeOp*>(op.get())) {
-      total += rm->StateSizeBytes();
-    }
+int64_t PlanGraph::num_replay_streams() const {
+  int64_t n = 0;
+  for (const auto& [merge, ties] : merge_ties_) {
+    (void)merge;
+    n += static_cast<int64_t>(ties.replays.size());
   }
-  return total;
+  return n;
 }
 
 std::string PlanGraph::ToString() const {
@@ -166,7 +183,8 @@ std::string PlanGraph::ToString() const {
     }
     out += "\n";
   }
-  for (const auto& op : operators_) {
+  for (const auto& [id, op] : operators_) {
+    (void)id;
     out += op->Describe();
     if (!op->active()) out += " [inactive]";
     if (auto* mj = dynamic_cast<MJoinOp*>(op.get());

@@ -36,12 +36,19 @@ class PlanGraph {
   /// New m-join for `expr`; registered for grafting lookups.
   MJoinOp* AddMJoin(Expr expr);
 
+  /// New recovery m-join (Algorithm 2) computing `expr` for `merge`.
+  /// Never a grafting candidate, so it is not registered for lookups;
+  /// it is destroyed when `merge` retires.
+  MJoinOp* AddRecoveryMJoin(RankMergeOp* merge, Expr expr);
+
   SplitOp* AddSplit();
 
   RankMergeOp* AddRankMerge(int uq_id, int k, VirtualTime submit_time_us);
 
-  /// New replay stream over a hash table prefix (owned by the graph).
-  ReplayStream* AddReplayStream(Expr expr, double initial_max_sum,
+  /// New replay stream over a hash table prefix, driving one of
+  /// `merge`'s recovery m-joins; destroyed when `merge` retires.
+  ReplayStream* AddReplayStream(RankMergeOp* merge, Expr expr,
+                                double initial_max_sum,
                                 const JoinHashTable* table,
                                 int max_epoch_exclusive);
 
@@ -60,9 +67,9 @@ class PlanGraph {
 
   // ---- lookup (grafting, §6.2) ----
 
-  /// Existing m-joins computing exactly `signature` (possibly with
-  /// different input structures), newest first.
-  std::vector<MJoinOp*> FindMJoins(const std::string& signature) const;
+  /// Existing AddMJoin() m-joins computing exactly `signature`
+  /// (possibly with different input structures), oldest first.
+  const std::vector<MJoinOp*>& FindMJoins(const std::string& signature) const;
 
   /// Whether `src` already feeds some consumer in this graph.
   bool SourceAttached(const StreamingSource* src) const;
@@ -77,11 +84,17 @@ class PlanGraph {
   /// reuse until evicted).
   void UnlinkCq(int cq_id);
 
-  /// Serving-mode GC: detaches a completed rank-merge from scheduling
-  /// and introspection, unlinks its CQs (deactivating upstream
-  /// operators no live query flows through), and releases its buffered
-  /// results. The operator object stays owned — upstream wiring may
-  /// still name it — but inactive, so it drops any further input.
+  /// Serving-mode GC: frees a completed rank-merge. Unlinks its CQs
+  /// (deactivating upstream operators no live query flows through),
+  /// takes the merge out of its producers' fan-out (an emptied split
+  /// stays for the next ConnectMJoin), and destroys the merge together
+  /// with the recovery m-joins and replay streams built for it. What
+  /// survives is the AddMJoin() m-joins the grafter reuses, their
+  /// splits and their retained tables: bounded by the number of
+  /// distinct plan shapes and by the eviction budget. Pinned by
+  /// PlanGraphTest.RetireRankMergeReclaimsRecoveryOperators and
+  /// QueryServiceTest.PlanGraphStaysBoundedUnderRepeatTraffic, and
+  /// exported per shard as the qsys_plan_graph_operators gauge.
   void RetireRankMerge(RankMergeOp* rm);
 
   // ---- introspection ----
@@ -89,12 +102,15 @@ class PlanGraph {
   const std::vector<RankMergeOp*>& rank_merges() const {
     return rank_merges_;
   }
-  std::vector<MJoinOp*> mjoins() const;
   /// Streaming sources with at least one consumer here.
   std::vector<StreamingSource*> attached_sources() const;
 
-  /// Total hash-table state held by this graph's m-joins.
-  int64_t StateSizeBytes() const;
+  /// Live operators: m-joins, splits and rank-merges.
+  int64_t num_operators() const {
+    return static_cast<int64_t>(operators_.size());
+  }
+  /// Live replay streams (one per recovery m-join).
+  int64_t num_replay_streams() const;
 
   /// Multi-line plan rendering (for examples and debugging).
   std::string ToString() const;
@@ -108,10 +124,26 @@ class PlanGraph {
     SplitOp* split = nullptr;  // the auto-inserted split, if any
   };
 
+  /// Takes ownership of a new operator and assigns its node id.
+  template <typename Op>
+  Op* Own(std::unique_ptr<Op> op);
+
+  /// What retiring a rank-merge releases besides the merge itself.
+  struct MergeTies {
+    /// M-joins whose output feeds the merge (its CQs' terminals and its
+    /// recovery m-joins), to take the merge out of their fan-out.
+    std::vector<MJoinOp*> feeders;
+    /// Recovery m-joins built for the merge.
+    std::vector<MJoinOp*> recovery_ops;
+    /// Their driving replay streams.
+    std::vector<std::unique_ptr<ReplayStream>> replays;
+  };
+
   const Catalog* catalog_;
   bool adaptive_;
-  std::vector<std::unique_ptr<Operator>> operators_;
-  std::vector<std::unique_ptr<ReplayStream>> replay_streams_;
+  // Keyed by node id, so rendering keeps creation order.
+  std::map<int, std::unique_ptr<Operator>> operators_;
+  std::unordered_map<const Operator*, MergeTies> merge_ties_;
   std::unordered_map<const StreamingSource*, SourceEndpoint> sources_;
   std::unordered_map<std::string, std::vector<MJoinOp*>> mjoin_by_sig_;
   std::unordered_map<MJoinOp*, SplitOp*> mjoin_split_;

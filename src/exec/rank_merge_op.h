@@ -152,15 +152,6 @@ class RankMergeOp : public Operator {
   /// Every logical CQ id ever registered (for retirement unlinking).
   const std::set<int>& all_cq_ids() const { return all_cq_ids_; }
 
-  /// Drops buffered and emitted result state after the results have
-  /// been copied out (serving-mode retirement). The merge stays
-  /// complete(); it just no longer holds tuples.
-  void ReleaseState() {
-    results_.clear();
-    results_.shrink_to_fit();
-    buffer_ = std::priority_queue<Buffered>();
-    seen_results_.clear();
-  }
   int num_registrations() const {
     return static_cast<int>(regs_.size());
   }

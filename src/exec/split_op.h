@@ -19,9 +19,10 @@ class SplitOp : public Operator {
 
   void AddConsumer(Consumer c) { consumers_.push_back(c); }
 
-  /// Removes the consumer targeting `op` (any port). Returns how many
-  /// consumers remain — the caller removes this split when it reaches 1
-  /// or 0 (§6.3 unlinking).
+  /// Removes every consumer targeting `op` (any port) and returns how
+  /// many remain. A split left with one consumer or none stays in the
+  /// graph: PlanGraph::RetireRankMerge leaves it in place, and the
+  /// producer's next ConnectMJoin reuses it (§6.3 unlinking).
   int RemoveConsumer(const Operator* op);
 
   const std::vector<Consumer>& consumers() const { return consumers_; }

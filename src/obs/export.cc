@@ -184,7 +184,8 @@ std::string RenderPrometheus(const MetricsRegistry& metrics,
                              const ServiceCounters& counters,
                              const std::vector<ExecStats>& shard_stats,
                              const std::vector<SpillStats>& shard_spill,
-                             const std::vector<RouteStats>& shard_routes) {
+                             const std::vector<RouteStats>& shard_routes,
+                             const std::vector<int64_t>& shard_plan_ops) {
   std::string out;
   out.reserve(8192);
 
@@ -260,6 +261,16 @@ std::string RenderPrometheus(const MetricsRegistry& metrics,
     }
   }
 
+  // -- plan-graph size, one series per shard: a long-lived shard whose
+  //    graph keeps growing shows here --
+  AppendHeader(&out, "plan_graph_operators", "gauge",
+               "Live plan-graph operators plus replay streams, summed "
+               "over the shard's ATCs");
+  for (size_t s = 0; s < shard_plan_ops.size(); ++s) {
+    AppendSampleInt(&out, "plan_graph_operators", "",
+                    ShardLabel(static_cast<int>(s)), shard_plan_ops[s]);
+  }
+
   // -- per-shard ExecStats work counters --
   for (const NamedField& f : kExecFields) {
     AppendHeader(&out, (std::string(f.name) + "_total").c_str(), "counter",
@@ -277,7 +288,8 @@ std::string RenderPrometheus(const MetricsRegistry& metrics,
 std::string RenderCountersText(const ServiceCounters& counters,
                                const std::vector<ExecStats>& shard_stats,
                                const std::vector<SpillStats>& shard_spill,
-                               const std::vector<RouteStats>& shard_routes) {
+                               const std::vector<RouteStats>& shard_routes,
+                               const std::vector<int64_t>& shard_plan_ops) {
   std::string out;
   out += "counters: submitted=";
   AppendInt(&out, counters.submitted.load(std::memory_order_relaxed));
@@ -337,6 +349,19 @@ std::string RenderCountersText(const ServiceCounters& counters,
     spill_total.read_retry_waits += s.read_retry_waits;
   }
   out += "spill: " + spill_total.ToString() + '\n';
+
+  int64_t plan_ops_total = 0;
+  for (int64_t n : shard_plan_ops) plan_ops_total += n;
+  out += "plan_graph: operators=";
+  AppendInt(&out, plan_ops_total);
+  out += '\n';
+  if (shard_plan_ops.size() > 1) {
+    for (size_t s = 0; s < shard_plan_ops.size(); ++s) {
+      out += "plan_graph[shard" + std::to_string(s) + "]: operators=";
+      AppendInt(&out, shard_plan_ops[s]);
+      out += '\n';
+    }
+  }
 
   ExecStats exec_total;
   for (const ExecStats& s : shard_stats) exec_total.Merge(s);

@@ -5,7 +5,7 @@
 namespace qsys {
 
 PlanGrafter::FullestBySig PlanGrafter::SnapshotFullestTables(
-    Atc* atc, int tag) const {
+    const PlanSpec& spec, Atc* atc, int tag) const {
   // The registry holds one table per (tag, signature) — the newest
   // registration — but consumer tables of one shared stream drift apart
   // during execution: an operator deactivates when its queries finish
@@ -13,20 +13,28 @@ PlanGrafter::FullestBySig PlanGrafter::SnapshotFullestTables(
   // Every live same-scope module table is a prefix of the same arrival
   // sequence, so the fullest one is the most complete prefix; backfill
   // and recovery must use it, or reused plans silently lose the
-  // buffered results beyond the shorter prefix.
+  // buffered results beyond the shorter prefix. Ties keep the oldest.
   FullestBySig fullest;
-  for (MJoinOp* op : atc->graph().mjoins()) {
-    auto it = op_tag_.find(op);
-    if (it == op_tag_.end() || it->second != tag) continue;
-    for (int p = 0; p < op->num_modules(); ++p) {
-      if (!op->module_is_stream(p) || op->module_is_frozen(p)) continue;
-      JoinHashTable* t = op->module_table(p);
-      if (t == nullptr) continue;
-      JoinHashTable*& slot = fullest[op->module_expr(p).Signature()];
-      if (slot == nullptr || t->num_entries() > slot->num_entries()) {
-        slot = t;
+  auto scope = module_tables_.find({&atc->graph(), tag});
+  if (scope == module_tables_.end()) return fullest;
+  auto snapshot = [&](const Expr& expr) {
+    const std::string& sig = expr.Signature();
+    auto tables = scope->second.find(sig);
+    if (tables == scope->second.end()) return;
+    auto [slot, fresh] = fullest.try_emplace(sig, nullptr);
+    if (!fresh) return;
+    for (JoinHashTable* t : tables->second) {
+      if (slot->second == nullptr ||
+          t->num_entries() > slot->second->num_entries()) {
+        slot->second = t;
       }
     }
+  };
+  for (const CandidateInput& input : spec.assignment.inputs) {
+    snapshot(input.expr);
+  }
+  for (const PlanSpec::Component& comp : spec.components) {
+    snapshot(comp.expr);
   }
   return fullest;
 }
@@ -274,8 +282,7 @@ bool PlanGrafter::Matches(const MJoinOp* candidate, const PlanSpec& spec,
       static_cast<int>(comp.modules.size())) {
     return false;
   }
-  // Multiset match on (streamed?, module expr signature); frozen modules
-  // (recovery operators) never match.
+  // Multiset match on (streamed?, module expr signature).
   std::vector<std::pair<bool, std::string>> want, have;
   for (const PlanSpec::ModuleRef& ref : comp.modules) {
     bool streamed = ref.kind != PlanSpec::ModuleRef::Kind::kProbe;
@@ -285,9 +292,7 @@ bool PlanGrafter::Matches(const MJoinOp* candidate, const PlanSpec& spec,
     want.emplace_back(streamed, e.Signature());
   }
   for (int p = 0; p < candidate->num_modules(); ++p) {
-    if (candidate->module_is_frozen(p)) return false;
-    have.emplace_back(candidate->module_is_stream(p) ||
-                          candidate->module_is_frozen(p),
+    have.emplace_back(candidate->module_is_stream(p),
                       candidate->module_expr(p).Signature());
   }
   std::sort(want.begin(), want.end());
@@ -320,8 +325,8 @@ Status PlanGrafter::Graft(const OptimizedGroup& group,
   const int epoch = atc->epoch() + 1;
   atc->set_epoch(epoch);
   ExecContext ctx = atc->MakeContext();
-  // One graph pass for the whole graft (see SnapshotFullestTables).
-  const FullestBySig fullest = SnapshotFullestTables(atc, tag);
+  // One snapshot for the whole graft (see SnapshotFullestTables).
+  const FullestBySig fullest = SnapshotFullestTables(spec, atc, tag);
 
   // cq id -> (cq, uq) lookup.
   std::unordered_map<int, std::pair<const ConjunctiveQuery*,
@@ -370,9 +375,11 @@ Status PlanGrafter::Graft(const OptimizedGroup& group,
   for (const PlanSpec::Component& comp : spec.components) {
     // Try to reuse an existing operator (newest first).
     MJoinOp* resolved = nullptr;
-    for (MJoinOp* cand : graph.FindMJoins(comp.expr.Signature())) {
-      if (Matches(cand, spec, comp, comp_ops, comp_reused, tag)) {
-        resolved = cand;
+    const std::vector<MJoinOp*>& cands =
+        graph.FindMJoins(comp.expr.Signature());
+    for (auto cand = cands.rbegin(); cand != cands.rend(); ++cand) {
+      if (Matches(*cand, spec, comp, comp_ops, comp_reused, tag)) {
+        resolved = *cand;
         break;
       }
     }
@@ -471,12 +478,14 @@ Status PlanGrafter::Graft(const OptimizedGroup& group,
     }
     // Backfill stream modules from retained state, then (re)register.
     int64_t fresh_warm = 0;
+    TablesBySig& scope_tables = module_tables_[{&graph, tag}];
     for (int p = 0; p < op->num_modules(); ++p) {
       JoinHashTable* table = op->module_table(p);
       if (table == nullptr || !op->module_is_stream(p)) continue;
       const std::string& sig = op->module_expr(p).Signature();
       fresh_warm += BackfillOrRestore(fullest, tag, sig, table, ctx);
       state_->RegisterModuleTable(tag, sig, table, op, ctx.clock->now());
+      scope_tables[sig].push_back(table);
     }
     comp_ops[comp.id] = op;
     record_component(comp, /*reused=*/false, fresh_warm > 0);

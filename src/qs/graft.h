@@ -12,8 +12,11 @@
 #ifndef QSYS_QS_GRAFT_H_
 #define QSYS_QS_GRAFT_H_
 
+#include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/obs/explain.h"
@@ -73,9 +76,12 @@ class PlanGrafter {
   /// registry's newest registration is not necessarily the fullest;
   /// scanning per lookup would be quadratic on the grafting hot path).
   /// Backfills during a graft only equalize tables up to the snapshot's
-  /// maxima, so the snapshot stays valid for the whole graft.
+  /// maxima, so the snapshot stays valid for the whole graft. Covers
+  /// only the signatures `spec` references — its assignment inputs and
+  /// component expressions — which are all the graft looks up.
   using FullestBySig = std::unordered_map<std::string, JoinHashTable*>;
-  FullestBySig SnapshotFullestTables(Atc* atc, int tag) const;
+  FullestBySig SnapshotFullestTables(const PlanSpec& spec, Atc* atc,
+                                     int tag) const;
 
   /// The most complete live prefix for (tag, sig): the fuller of the
   /// registered table and the graph snapshot's entry. May return the
@@ -127,9 +133,10 @@ class PlanGrafter {
                            ExecContext& ctx);
 
   /// True if `candidate` can stand in for `comp`: built under the same
-  /// sharing scope (`tag`), same expression, same module structure, no
-  /// frozen modules, and every upstream feeder is the operator we
-  /// resolved for that upstream component.
+  /// sharing scope (`tag`), same expression, same module structure, and
+  /// every upstream feeder is the operator we resolved for that
+  /// upstream component. (Recovery m-joins, the only ones with frozen
+  /// modules, are never candidates: FindMJoins does not list them.)
   bool Matches(const MJoinOp* candidate, const PlanSpec& spec,
                const PlanSpec::Component& comp,
                const std::vector<MJoinOp*>& comp_ops,
@@ -145,6 +152,14 @@ class PlanGrafter {
       producers_;
   /// op -> sharing scope it was built under (reuse is scope-local).
   std::unordered_map<const MJoinOp*, int> op_tag_;
+  /// Stream-module tables of the ops built here, per (plan graph,
+  /// sharing scope) and module signature, in creation order: the
+  /// candidates SnapshotFullestTables compares. These ops are never
+  /// freed (retirement frees only merges and recovery operators), so
+  /// the pointers stay valid.
+  using TablesBySig =
+      std::unordered_map<std::string, std::vector<JoinHashTable*>>;
+  std::map<std::pair<const PlanGraph*, int>, TablesBySig> module_tables_;
   /// Producer op -> per-stream-module replay watermark: entry counts up
   /// to which every purely-buffered combo has been derived into the
   /// op's downstream consumers (advanced by each replay; reset to a

@@ -20,8 +20,9 @@ Status BuildRecoveryQuery(const ConjunctiveQuery& cq,
   }
   PlanGraph& graph = atc->graph();
 
-  // The recovery m-join computes the whole query over frozen state.
-  MJoinOp* op = graph.AddMJoin(cq.expr);
+  // The recovery m-join computes the whole query over frozen state. It
+  // and its replay live exactly as long as `merge` (RetireRankMerge).
+  MJoinOp* op = graph.AddRecoveryMJoin(merge, cq.expr);
   int driving_port = -1;
   for (size_t i = 0; i < frozen.size(); ++i) {
     auto port = op->AddFrozenModule(frozen[i].expr, frozen[i].table, epoch);
@@ -37,7 +38,7 @@ Status BuildRecoveryQuery(const ConjunctiveQuery& cq,
   // Driving replay: the buffered prefix of frozen[0], in arrival (=
   // score) order, reading at in-memory cost.
   ReplayStream* replay = graph.AddReplayStream(
-      frozen[0].expr, ExprMaxSum(frozen[0].expr, catalog),
+      merge, frozen[0].expr, ExprMaxSum(frozen[0].expr, catalog),
       frozen[0].table, epoch);
   graph.ConnectSource(replay, {op, driving_port});
 

@@ -934,15 +934,25 @@ std::vector<RouteStats> QueryService::ShardRoutesVec() const {
   return v;
 }
 
+std::vector<int64_t> QueryService::ShardPlanGraphOpsVec() const {
+  std::vector<int64_t> v;
+  v.reserve(shards_.size());
+  for (const auto& shard : shards_) {
+    v.push_back(shard->plan_graph_operators());
+  }
+  return v;
+}
+
 std::string QueryService::MetricsText() const {
   return metrics_->RenderText() +
          RenderCountersText(counters_, ShardStatsVec(), ShardSpillVec(),
-                            ShardRoutesVec());
+                            ShardRoutesVec(), ShardPlanGraphOpsVec());
 }
 
 std::string QueryService::MetricsPrometheus() const {
   return RenderPrometheus(*metrics_, counters_, ShardStatsVec(),
-                          ShardSpillVec(), ShardRoutesVec());
+                          ShardSpillVec(), ShardRoutesVec(),
+                          ShardPlanGraphOpsVec());
 }
 
 Status QueryService::CheckExplainable(int uq_id) const {

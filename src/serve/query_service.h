@@ -413,6 +413,7 @@ class QueryService {
   std::vector<ExecStats> ShardStatsVec() const;
   std::vector<SpillStats> ShardSpillVec() const;
   std::vector<RouteStats> ShardRoutesVec() const;
+  std::vector<int64_t> ShardPlanGraphOpsVec() const;
 
   /// Per-shard routing-decision counters (relaxed atomics; incremented
   /// on the submitting thread after a successful push).

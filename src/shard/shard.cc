@@ -195,6 +195,8 @@ void EngineShard::IngestRequests(std::vector<ShardRequest> requests) {
 void EngineShard::PublishStatsLocked() {
   atomic_stats_.Store(engine_->aggregate_stats());
   gauges_.StoreSpill(engine_->spill_stats());
+  plan_graph_operators_.store(engine_->plan_graph_operators(),
+                              std::memory_order_relaxed);
   if (stats_listener_) stats_listener_();
 }
 

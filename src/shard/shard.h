@@ -220,6 +220,10 @@ class EngineShard {
   ExecStats stats_snapshot() const { return atomic_stats_.Load(); }
   /// Spill-tier gauges as of the last completed epoch.
   SpillStats spill_snapshot() const { return gauges_.LoadSpill(); }
+  /// Engine::plan_graph_operators() as of the last completed epoch.
+  int64_t plan_graph_operators() const {
+    return plan_graph_operators_.load(std::memory_order_relaxed);
+  }
   /// Shared-execution epochs this shard has driven.
   int64_t epochs() const {
     return gauges_.epochs.load(std::memory_order_relaxed);
@@ -291,6 +295,7 @@ class EngineShard {
   /// accumulate into service_counters_.
   ServiceCounters gauges_;
   AtomicExecStats atomic_stats_;
+  std::atomic<int64_t> plan_graph_operators_{0};
 };
 
 }  // namespace qsys

@@ -271,6 +271,8 @@ TEST(ObsExplainTest, PrometheusExporterRendersExpectedFamilies) {
            "qsys_completed_total 1",
            "# TYPE qsys_spill_bytes_on_disk gauge",
            "qsys_spill_bytes_on_disk{shard=\"1\"}",
+           "# TYPE qsys_plan_graph_operators gauge",
+           "qsys_plan_graph_operators{shard=\"1\"}",
            "# TYPE qsys_exec_tuples_streamed_total counter",
            "qsys_exec_tuples_streamed_total{shard=\"0\"}",
            "qsys_exec_tuples_shared_served_total{shard=\"1\"}",
@@ -282,6 +284,8 @@ TEST(ObsExplainTest, PrometheusExporterRendersExpectedFamilies) {
   std::string text = service.MetricsText();
   EXPECT_NE(text.find("counters: submitted=1"), std::string::npos);
   EXPECT_NE(text.find("spill: "), std::string::npos);
+  EXPECT_NE(text.find("plan_graph: operators="), std::string::npos);
+  EXPECT_NE(text.find("plan_graph[shard1]: operators="), std::string::npos);
   EXPECT_NE(text.find("exec[all]: "), std::string::npos);
 }
 

@@ -1,9 +1,12 @@
 // Unit tests for the plan graph: wiring, automatic split insertion,
-// source routing, CQ dependency tracking and unlinking (§6.3).
+// source routing, CQ dependency tracking, unlinking and retirement
+// (§6.3).
 
 #include <gtest/gtest.h>
 
+#include "src/exec/atc.h"
 #include "src/exec/plan_graph.h"
+#include "src/qs/recover.h"
 
 namespace qsys {
 namespace {
@@ -111,11 +114,107 @@ TEST_F(PlanGraphTest, FindMJoinsBySignature) {
   Expr e = SingleExpr();
   MJoinOp* j1 = graph.AddMJoin(e);
   MJoinOp* j2 = graph.AddMJoin(e);
-  std::vector<MJoinOp*> found = graph.FindMJoins(e.Signature());
+  const std::vector<MJoinOp*>& found = graph.FindMJoins(e.Signature());
   ASSERT_EQ(found.size(), 2u);
-  EXPECT_EQ(found[0], j2);  // newest first
-  EXPECT_EQ(found[1], j1);
+  EXPECT_EQ(found[0], j1);  // oldest first
+  EXPECT_EQ(found[1], j2);
   EXPECT_TRUE(graph.FindMJoins("nope").empty());
+}
+
+TEST_F(PlanGraphTest, RetireRankMergeReclaimsRecoveryOperators) {
+  // A terminal m-join feeds two live queries through a split when a
+  // third, warm query with the same CQ body arrives; its CQ gets an
+  // Algorithm 2 recovery query over the terminal's buffered table.
+  // Retiring the warm query must free everything built for it.
+  Atc atc(0, &catalog_, delays_.get(), /*adaptive=*/true);
+  PlanGraph& graph = atc.graph();
+  const Expr expr = SingleExpr();
+  StreamingSource* src = sources_->GetOrCreateStream(expr);
+  MJoinOp* terminal = graph.AddMJoin(expr);
+  const int port = terminal->AddStreamModule(expr).value();
+  ASSERT_TRUE(terminal->Finalize().ok());
+  graph.ConnectSource(src, {terminal, port});
+
+  ConjunctiveQuery cq;
+  cq.expr = expr;
+  cq.score_fn = ScoreFunction::DiscoverSum(1);
+  cq.max_sum = src->initial_max_sum();
+  auto add_query = [&](int uq_id, int cq_id) {
+    RankMergeOp* merge = graph.AddRankMerge(uq_id, /*k=*/10, 0);
+    CqRegistration reg;
+    reg.cq_id = cq_id;
+    reg.score_fn = cq.score_fn;
+    reg.max_sum = cq.max_sum;
+    reg.streams = {src};
+    graph.ConnectMJoin(terminal, {merge, merge->RegisterCq(reg)});
+    graph.RegisterCqDependency(cq_id, terminal);
+    return merge;
+  };
+  add_query(1, 10);
+  add_query(2, 20);
+  atc.Step();
+  atc.Step();  // two tuples buffered before the warm query's epoch
+  JoinHashTable* buffered = terminal->module_table(port);
+  ASSERT_EQ(buffered->num_entries(), 2);
+  const int64_t ops_before = graph.num_operators();
+  const int64_t replays_before = graph.num_replay_streams();
+
+  atc.set_epoch(1);
+  RankMergeOp* warm = add_query(3, 30);
+  cq.id = 30;
+  ASSERT_TRUE(BuildRecoveryQuery(cq, {{expr, buffered}}, {}, /*epoch=*/1,
+                                 warm, &atc, sources_.get(), /*tag=*/0,
+                                 catalog_)
+                  .ok());
+  EXPECT_EQ(graph.num_operators(), ops_before + 2);  // merge, recovery
+  EXPECT_EQ(graph.num_replay_streams(), replays_before + 1);
+  EXPECT_EQ(buffered->borrowers(), 1);
+  atc.RunToCompletion();
+  ASSERT_TRUE(warm->complete());
+  EXPECT_EQ(warm->results().size(), 4u);  // 2 recovered + 2 live
+  const Operator* retired = warm;
+  atc.RetireCompleted(3);
+
+  EXPECT_EQ(graph.num_operators(), ops_before);
+  EXPECT_EQ(graph.num_replay_streams(), replays_before);
+  const std::vector<MJoinOp*>& found = graph.FindMJoins(expr.Signature());
+  ASSERT_EQ(found.size(), 1u);  // never the recovery m-join
+  EXPECT_EQ(found[0], terminal);
+  const auto* split = dynamic_cast<const SplitOp*>(terminal->consumer().op);
+  ASSERT_NE(split, nullptr);
+  ASSERT_EQ(split->consumers().size(), 2u);
+  for (const Consumer& c : split->consumers()) EXPECT_NE(c.op, retired);
+  EXPECT_EQ(buffered->borrowers(), 0);
+
+  // Retiring the rest empties the split, which stays for reuse: the
+  // next query on the terminal joins it instead of a new split.
+  atc.RetireCompleted(1);
+  atc.RetireCompleted(2);
+  EXPECT_TRUE(split->consumers().empty());
+  EXPECT_EQ(graph.num_operators(), 2);  // terminal, split
+  add_query(4, 40);
+  EXPECT_EQ(terminal->consumer().op, split);
+  EXPECT_EQ(split->consumers().size(), 1u);
+  EXPECT_EQ(graph.num_operators(), 3);
+}
+
+TEST_F(PlanGraphTest, RetireRankMergeClearsDirectConsumerEdge) {
+  PlanGraph graph(&catalog_, true);
+  MJoinOp* join = graph.AddMJoin(SingleExpr());
+  int port = join->AddStreamModule(SingleExpr()).value();
+  ASSERT_TRUE(join->Finalize().ok());
+  RankMergeOp* first = graph.AddRankMerge(1, 5, 0);
+  graph.ConnectMJoin(join, {first, 0});
+  graph.RetireRankMerge(first);
+  EXPECT_EQ(join->consumer().op, nullptr);
+  EXPECT_EQ(graph.num_operators(), 1);
+  // The next consumer takes the plain edge again: no split.
+  CountingSink sink;
+  graph.ConnectMJoin(join, {&sink, 0});
+  join->Consume(port, CompositeTuple::ForBase(tid_, 0, 0.9), ctx_);
+  EXPECT_EQ(sink.count, 1);
+  EXPECT_EQ(stats_.split_routed, 0);
+  EXPECT_EQ(graph.num_operators(), 1);
 }
 
 TEST_F(PlanGraphTest, UnlinkCqDeactivatesOrphanedOperators) {

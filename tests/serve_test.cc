@@ -400,6 +400,59 @@ TEST(QueryServiceTest, ServingKeepsEngineBookkeepingBounded) {
   EXPECT_TRUE(service.Shutdown().ok());
 }
 
+TEST(QueryServiceTest, PlanGraphStaysBoundedUnderRepeatTraffic) {
+  // Repeat traffic grafts warm CQs — reused m-joins plus Algorithm 2
+  // recovery queries — onto long-lived plan graphs. Retirement frees
+  // what each finished query built, so once every plan shape has been
+  // seen the graphs stop growing. ATC-CL with two exec threads runs
+  // that retirement on the drain workers.
+  ServiceOptions options = TinyServiceOptions();
+  options.manual_pump = true;
+  options.config.num_shards = 1;
+  options.config.sharing = SharingConfig::kAtcCl;
+  options.config.exec_threads = 2;
+  QueryService service(options);
+  ASSERT_TRUE(BuildTinyBioDataset(service.engine()).ok());
+  ASSERT_TRUE(service.Start().ok());
+  auto session = service.OpenSession("repeat");
+  ASSERT_TRUE(session.ok());
+
+  const std::vector<std::string> queries = {
+      "membrane gene", "kinase pathway", "receptor transport"};
+  std::map<std::string, std::string> first_answer;
+  int64_t ops_at_round_20 = -1;
+  for (int round = 1; round <= 200; ++round) {
+    std::vector<QueryTicket> tickets;
+    for (const std::string& q : queries) {
+      auto ticket = service.Submit(session.value(), q);
+      ASSERT_TRUE(ticket.ok());
+      tickets.push_back(ticket.value());
+    }
+    ASSERT_TRUE(service.PumpOnce().ok());
+    for (size_t i = 0; i < tickets.size(); ++i) {
+      const QueryOutcome& out = tickets[i].Wait();
+      ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+      ASSERT_FALSE(out.results.empty());
+      const std::string answer = FingerprintResults(out.results);
+      auto [first, inserted] = first_answer.emplace(queries[i], answer);
+      ASSERT_TRUE(inserted || answer == first->second)
+          << "'" << queries[i] << "' changed its answer in round " << round;
+    }
+    if (round == 20) {
+      ops_at_round_20 = service.engine().plan_graph_operators();
+    }
+  }
+  EXPECT_GT(service.engine().grafter().recoveries_built(), 0);
+  EXPECT_GT(ops_at_round_20, 0);
+  EXPECT_EQ(service.engine().plan_graph_operators(), ops_at_round_20);
+  // One scrape shows the same number.
+  EXPECT_NE(service.MetricsPrometheus().find(
+                "qsys_plan_graph_operators{shard=\"0\"} " +
+                std::to_string(ops_at_round_20) + "\n"),
+            std::string::npos);
+  EXPECT_TRUE(service.Shutdown().ok());
+}
+
 TEST(QueryServiceTest, BoundedMemoryServingWithSpillTier) {
   ServiceOptions options = TinyServiceOptions();
   options.manual_pump = true;

@@ -12,9 +12,9 @@ PATH.mid mid-run and PATH after shutdown — then checks:
   * counter families use the _total suffix; summary families emit
     quantile samples plus _sum and _count;
   * the expected qsys_ families are present (latency summaries,
-    admission counters, fault-tolerance counters, spill gauges,
-    per-shard exec counters) and carry shard labels where the
-    exporter promises them;
+    admission counters, fault-tolerance counters, spill and
+    plan-graph gauges, per-shard exec counters) and carry shard
+    labels where the exporter promises them;
   * every counter sample is monotonically non-decreasing from the
     mid-run scrape to the final one (same series, by name + labels).
 
@@ -54,6 +54,7 @@ EXPECTED_COUNTERS = {
 EXPECTED_GAUGES = {
     "qsys_spill_bytes_on_disk",
     "qsys_spill_read_retry_waits",
+    "qsys_plan_graph_operators",
 }
 
 SAMPLE_RE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{(.*)\})?\s+(\S+)$")
