@@ -113,14 +113,14 @@ struct QConfig {
 
   /// Intra-shard parallelism (multi-core epochs): number of executors
   /// driving one engine's ATC scheduling rounds concurrently. The
-  /// shard's executor thread coordinates (flush/optimize/graft/evict
-  /// stay serialized on it) and `exec_threads - 1` pool workers join it
-  /// for the per-ATC drain segments, each ATC under its own lock.
-  /// Per-UQ top-k answers are byte-equivalent at every thread count
-  /// (ATCs share no mutable execution state — disjoint sharing scopes,
+  /// thread driving Engine::Drain (a shard's executor, or the
+  /// simulator's Run()) coordinates (flush/optimize/graft/evict stay
+  /// serialized on it) and `exec_threads - 1` pool workers join it for
+  /// the per-ATC drain segments, each ATC under its own lock. Per-UQ
+  /// top-k answers are byte-equivalent at every thread count (ATCs
+  /// share no mutable execution state — disjoint sharing scopes,
   /// per-ATC delay samplers). 1 (default) spawns no workers. Only pays
-  /// off with multiple ATCs per engine (SharingConfig::kAtcCl); the
-  /// simulator (QSystem) ignores this.
+  /// off with multiple ATCs per engine (SharingConfig::kAtcCl).
   int exec_threads = 1;
 
   /// Observability (src/obs/): per-thread trace ring-buffer capacity,

@@ -104,7 +104,9 @@ Status Engine::Ingest(int uq_id, const std::string& keywords, int user_id,
   if (!uq.ok()) {
     // A query that matches nothing (or cannot be connected) fails for
     // its user; the system keeps serving everyone else.
-    if (retain_history_) generation_failures_.emplace_back(uq_id, uq.status());
+    if (retains_history()) {
+      generation_failures_.emplace_back(uq_id, uq.status());
+    }
     return uq.status();
   }
   UserQuery q = std::move(uq).value();
@@ -206,7 +208,7 @@ Status Engine::OptimizeAndGraft(const std::vector<const UserQuery*>& batch,
                   static_cast<int64_t>(batch.size()));
   }
 
-  if (retain_history_) {
+  if (retains_history()) {
     OptimizationRecord rec;
     rec.candidates = outcome.candidates_considered;
     rec.enumerated = outcome.enumerated;
@@ -360,84 +362,25 @@ Status Engine::RouteBatch(const std::vector<const UserQuery*>& batch,
   return Status::Internal("unknown sharing config");
 }
 
-VirtualTime Engine::NextFlushDeadline(const StepOptions& options) const {
+VirtualTime Engine::NextFlushDeadline(VirtualTime arrival_horizon) const {
   VirtualTime t_flush = batcher_.NextDeadline();
-  if (options.drain_pending && batcher_.HasPending()) {
+  if (arrival_horizon == kNeverUs && batcher_.HasPending()) {
     // No more arrivals will ever come: flush whatever is waiting, at the
     // earliest legal instant (the last member's submit time).
     t_flush = std::min<VirtualTime>(t_flush, batcher_.LatestSubmit());
   }
-  if (!options.pace_to_horizon && t_flush >= options.arrival_horizon) {
-    // Serving mode: a batch whose deadline has not passed yet keeps
-    // waiting for more members, even though ATC clocks (which run ahead
-    // of wall time) may already have passed the deadline.
-    t_flush = kNeverUs;
-  }
-  return t_flush;
-}
-
-Result<Engine::StepOutcome> Engine::Step(const StepOptions& options) {
-  if (!finalized_) {
-    return Status::FailedPrecondition("FinalizeCatalog() not called");
-  }
-  VirtualTime t_flush = NextFlushDeadline(options);
-
-  Atc* runnable = nullptr;
-  for (const auto& atc : atcs_) {
-    if (atc->HasWork() &&
-        (runnable == nullptr ||
-         atc->clock().now() < runnable->clock().now())) {
-      runnable = atc.get();
-    }
-  }
-  VirtualTime t_atc = runnable != nullptr ? runnable->clock().now()
-                                          : kNeverUs;
-
-  // Does the driver's next arrival precede every engine event? Arrivals
-  // win ties so batches fill before they flush. In serving mode ATC
-  // work is never deferred for an arrival: results stream out as fast
-  // as the executor can drain them.
-  bool arrival_first =
-      options.pace_to_horizon
-          ? options.arrival_horizon <= t_flush &&
-                options.arrival_horizon <= t_atc
-          : t_flush == kNeverUs && runnable == nullptr;
-  if (arrival_first || (t_flush == kNeverUs && runnable == nullptr)) {
-    return StepOutcome{StepKind::kIdle};
-  }
-
-  if (t_flush <= t_atc) {
-    VirtualTime flush_at = std::max<VirtualTime>(t_flush, 0);
-    QSYS_RETURN_IF_ERROR(FlushBatch(flush_at));
-    // Re-check completion immediately after the graft: late
-    // registrations (recovery replays, live ports whose shared streams
-    // an earlier epoch already exhausted) can settle a merge without a
-    // single stream read, and their prune/complete decisions must run
-    // against the just-grafted state — not whenever the scheduler next
-    // happens to visit the merge.
-    for (const auto& atc : atcs_) atc->MaintainAll();
-    state_manager_->SnapshotSourceStats();
-    state_manager_->EnforceBudget(flush_at);
-    DrainCompletions();
-    return StepOutcome{StepKind::kFlushed};
-  }
-
-  runnable->Step();
-  ++rounds_;
-  DrainCompletions();
-  if (config_.max_rounds > 0 && rounds_ > config_.max_rounds) {
-    return Status::ResourceExhausted("max scheduling rounds exceeded");
-  }
-  return StepOutcome{StepKind::kAtcRound};
+  // Arrivals win ties, so a batch fills before it flushes. In serving
+  // a batch whose deadline has not passed yet keeps waiting for more
+  // members, even though ATC clocks (which run ahead of wall time) may
+  // already have passed the deadline.
+  return t_flush < arrival_horizon ? t_flush : kNeverUs;
 }
 
 Status Engine::DrainAtcsTo(VirtualTime bound) {
-  // Per-ATC semantics of the serial loop: an ATC executes scheduling
-  // rounds exactly while its own clock is below the next flush
-  // deadline (the min-clock selection in Step() only fixes the
-  // *order*; the flush preempts precisely when every ATC has
-  // individually reached the deadline). Replaying that rule per ATC is
-  // what makes the parallel drain byte-equivalent to the serial one.
+  // An ATC executes scheduling rounds exactly while its own clock is
+  // below `bound`. ATCs share no mutable execution state, so the order
+  // in which the pool interleaves their rounds is unobservable: the
+  // outcome equals running every event in global virtual-time order.
   std::vector<Atc*> ready;
   for (const auto& atc : atcs_) {
     if (atc->HasWork() && atc->clock().now() < bound) {
@@ -492,48 +435,51 @@ Status Engine::DrainAtcsTo(VirtualTime bound) {
 
 void Engine::HarvestCompletions(Atc* atc) {
   for (UserQueryMetrics& m : atc->TakeCompletedMetrics()) {
-    CompletedQuery done;
-    done.metrics = m;
-    if (const std::vector<ResultTuple>* res = atc->ResultsFor(m.uq_id)) {
-      done.results = *res;
-    }
     if (tracer_ != nullptr) {
       tracer_->Instant(TraceEventType::kComplete, obs_shard_, m.uq_id,
-                       atc->id(),
-                       static_cast<int64_t>(done.results.size()));
+                       atc->id(), m.results);
     }
-    completed_queue_.Push(std::move(done));
-    if (!retain_history_) {
-      // Same point the serial loop retires at — right after the round
-      // that completed the merge — so later rounds of this ATC see the
-      // identical (pruned) graph in both drive modes.
+    CompletedQuery done;
+    done.metrics = m;
+    if (!retains_history()) {
+      // Handed off: snapshot the answers, then retire the query right
+      // after the round that completed it — its rank-merge, recovery
+      // m-joins and replay streams are freed
+      // (PlanGraph::RetireRankMerge). What survives is the grafter's
+      // reusable m-joins and their tables, bounded by the number of
+      // distinct plan shapes and by the eviction budget — the
+      // qsys_plan_graph_operators gauge shows it, and
+      // QueryServiceTest.PlanGraphStaysBoundedUnderRepeatTraffic pins
+      // it.
+      if (const std::vector<ResultTuple>* res = atc->ResultsFor(m.uq_id)) {
+        done.results = *res;
+      }
       atc->RetireCompleted(m.uq_id);
     }
+    completed_queue_.Push(std::move(done));
   }
 }
 
 void Engine::DrainCompletionQueue() {
   while (std::optional<CompletedQuery> done = completed_queue_.Pop()) {
-    if (retain_history_) {
+    if (retains_history()) {
       metrics_.push_back(done->metrics);
     } else {
+      // Plan-graph pointers to the UserQuery do not outlive Graft().
       uqs_.erase(done->metrics.uq_id);
+      completed_sink_(std::move(*done));
     }
-    if (completed_sink_) completed_sink_(std::move(*done));
   }
 }
 
-Result<Engine::EpochOutcome> Engine::DrainServing(
-    const StepOptions& options) {
+Result<Engine::EpochOutcome> Engine::Drain(const DrainOptions& options) {
   if (!finalized_) {
     return Status::FailedPrecondition("FinalizeCatalog() not called");
   }
-  StepOptions serving = options;
-  serving.pace_to_horizon = false;
   EpochOutcome out;
   for (;;) {
     progress_ticks_.fetch_add(1, std::memory_order_relaxed);
-    VirtualTime t_flush = NextFlushDeadline(serving);
+    const VirtualTime t_flush = NextFlushDeadline(options.arrival_horizon);
     bool any_work = false;
     for (const auto& atc : atcs_) {
       if (atc->HasWork()) {
@@ -544,21 +490,29 @@ Result<Engine::EpochOutcome> Engine::DrainServing(
     if (!any_work && t_flush == kNeverUs) break;  // idle
 
     if (any_work) {
-      Status drained = DrainAtcsTo(t_flush);
+      const VirtualTime bound =
+          options.pace_to_horizon
+              ? std::min(t_flush, options.arrival_horizon)
+              : t_flush;
+      Status drained = DrainAtcsTo(bound);
       out.worked = true;
       DrainCompletionQueue();
       QSYS_RETURN_IF_ERROR(drained);
     }
-    if (t_flush == kNeverUs) break;  // all ATC work drained, no flush due
+    if (t_flush == kNeverUs) break;  // all due ATC work drained, no flush
 
     // ---- serialized section: every cross-ATC structure ----
     // The drain barrier above has quiesced the workers; the batcher,
     // optimizer, grafter, state registry and spill tier are touched by
     // this (coordinating) thread only.
-    VirtualTime flush_at = std::max<VirtualTime>(t_flush, 0);
+    const VirtualTime flush_at = std::max<VirtualTime>(t_flush, 0);
     QSYS_RETURN_IF_ERROR(FlushBatch(flush_at));
-    // Same re-check as Step(): late registrations must settle against
-    // the just-grafted state (see Atc::MaintainAll).
+    // Re-check completion immediately after the graft: late
+    // registrations (recovery replays, live ports whose shared streams
+    // an earlier epoch already exhausted) can settle a merge without a
+    // single stream read, and their prune/complete decisions must run
+    // against the just-grafted state — not whenever the scheduler next
+    // happens to visit the merge.
     for (const auto& atc : atcs_) {
       std::lock_guard<std::mutex> atc_lock(atc->mu());
       atc->MaintainAll();
@@ -573,42 +527,15 @@ Result<Engine::EpochOutcome> Engine::DrainServing(
   return out;
 }
 
-bool Engine::HasWork() const {
-  if (batcher_.HasPending()) return true;
-  for (const auto& atc : atcs_) {
-    if (atc->HasWork()) return true;
-  }
-  return false;
-}
-
-void Engine::DrainCompletions() {
-  for (const auto& atc : atcs_) {
-    for (UserQueryMetrics& m : atc->TakeCompletedMetrics()) {
-      if (retain_history_) metrics_.push_back(m);
-      if (completion_listener_) completion_listener_(m);
-      if (!retain_history_) {
-        // Serving mode: the listener has copied everything the client
-        // gets; drop the UserQuery and retire the query: its rank-merge,
-        // recovery m-joins and replay streams are freed
-        // (PlanGraph::RetireRankMerge). What survives is the grafter's
-        // reusable m-joins and their tables, bounded by the number of
-        // distinct plan shapes and by the eviction budget — the
-        // qsys_plan_graph_operators gauge shows it, and
-        // QueryServiceTest.PlanGraphStaysBoundedUnderRepeatTraffic pins
-        // it. (Plan-graph pointers to the UserQuery do not outlive
-        // Graft().)
-        uqs_.erase(m.uq_id);
-        atc->RetireCompleted(m.uq_id);
-      }
-    }
-  }
-}
-
 void Engine::FinishRun() {
   state_manager_->SnapshotSourceStats();
-  // Final safety net: collect merges that completed without passing
-  // through a Step (e.g. empty graphs), then order by user-query id.
-  DrainCompletions();
+  // Final safety net: collect merges that completed outside a drain
+  // (e.g. empty graphs), then order by user-query id.
+  for (const auto& atc : atcs_) {
+    std::lock_guard<std::mutex> atc_lock(atc->mu());
+    HarvestCompletions(atc.get());
+  }
+  DrainCompletionQueue();
   std::stable_sort(metrics_.begin(), metrics_.end(),
                    [](const UserQueryMetrics& a, const UserQueryMetrics& b) {
                      return a.uq_id < b.uq_id;

@@ -5,32 +5,30 @@
 // graph + inverted index) through a Dataset it builds or shares, and
 // owns the keyword front end, the query batcher, the multiple-query
 // optimizer, the query state manager, and one or more ATCs. It exposes
-// the timeline-replay loop as a single reusable primitive, Step():
-// process the one earliest pending event — a batch flush or one ATC
-// scheduling round — and report what happened.
+// one drive, Drain(): run every event — batch flushes and ATC
+// scheduling rounds — that is due before the driver's next arrival.
 //
-// Two drivers sit on top of this single code path:
+// Two drivers call it the same way: drain to the next arrival, ingest
+// it, repeat.
 //
 //   * QSystem (src/core/qsystem.h): the virtual-clock discrete-event
-//     simulator. It interleaves pre-scripted arrivals with Step() calls,
-//     pacing every event by virtual time (StepOptions::pace_to_horizon).
-//   * QueryService (src/serve/query_service.h): the wall-clock serving
-//     layer. It ingests queries as real clients submit them and drains
-//     each due batch eagerly in a shared-execution epoch
-//     (pace_to_horizon = false), delivering results through the
-//     completion listener as rank-merges finish.
+//     simulator. Its arrivals are pre-scripted, and it paces ATC rounds
+//     to the arrival horizon too (DrainOptions::pace_to_horizon).
+//   * EngineShard (src/shard/shard.h), behind QueryService: the
+//     wall-clock serving layer. It ingests queries as real clients
+//     submit them and drains ATC work eagerly, delivering results
+//     through the CompletedSink as rank-merges finish.
 //
 // The Engine's externally visible surface is single-threaded: drivers
 // that accept work from many threads (QueryService) serialize every
-// touch behind one per-shard engine lock. Internally, the serving
-// drive (DrainServing) exploits many cores: independent ATCs — which
-// share no mutable execution state — run their scheduling rounds
-// concurrently on an AtcScheduler worker pool (QConfig::exec_threads),
-// each under its own per-ATC lock, while the cross-ATC structures
-// (batcher, optimizer, grafter, state registry, spill tier) keep a
-// narrow serialized section on the coordinating thread. Completed
-// queries travel from drain workers to the coordinator through a
-// lock-free MPSC completion queue.
+// touch behind one per-shard engine lock. Internally, Drain exploits
+// many cores: independent ATCs — which share no mutable execution
+// state — run their scheduling rounds concurrently on an AtcScheduler
+// worker pool (QConfig::exec_threads), each under its own per-ATC
+// lock, while the cross-ATC structures (batcher, optimizer, grafter,
+// state registry, spill tier) keep a narrow serialized section on the
+// coordinating thread. Completed queries travel from drain workers to
+// the coordinator through a lock-free MPSC completion queue.
 
 #ifndef QSYS_CORE_ENGINE_H_
 #define QSYS_CORE_ENGINE_H_
@@ -82,45 +80,28 @@ struct OptimizationRecord {
 };
 
 /// \brief The sharing pipeline: batcher -> multi-query optimizer ->
-/// graft -> shared ATC execution, driven one event at a time.
+/// graft -> shared ATC execution, driven in epochs by Drain().
 class Engine {
  public:
-  /// What a Step() call did.
-  enum class StepKind {
-    /// Nothing was runnable before the arrival horizon; the driver
-    /// should ingest its next arrival (or stop if it has none).
-    kIdle,
-    /// A batch was flushed: optimized, grafted, budget enforced.
-    kFlushed,
-    /// One ATC scheduling round ran.
-    kAtcRound,
-  };
-
-  /// How Step() picks (or declines to pick) the next event.
-  struct StepOptions {
-    /// Virtual time of the driver's next known arrival. Step() reports
-    /// kIdle instead of processing any event at or beyond this time, so
-    /// the driver can ingest the arrival first (arrivals win ties).
-    VirtualTime arrival_horizon = kNeverUs;
-    /// No further arrivals will ever come: a waiting partial batch
-    /// flushes at the earliest legal instant (its latest submit time)
-    /// instead of at its window deadline.
-    bool drain_pending = true;
-    /// When true (simulator), ATC rounds are also gated by
-    /// arrival_horizon, keeping every event in global virtual-time
-    /// order. When false (serving), ATC work always runs: execution is
-    /// drained eagerly even though ATC clocks advance past the horizon,
-    /// and only *flushes* wait for their deadline to pass the horizon.
-    bool pace_to_horizon = true;
-  };
-
-  struct StepOutcome {
-    StepKind kind = StepKind::kIdle;
-  };
-
   /// Sentinel "no event / no horizon" virtual time.
   static constexpr VirtualTime kNeverUs =
       std::numeric_limits<VirtualTime>::max();
+
+  /// How Drain() paces the pipeline.
+  struct DrainOptions {
+    /// Virtual time of the driver's next arrival (kNeverUs: none will
+    /// ever come). A batch flush is due only strictly before it, so the
+    /// driver ingests the arrival first (arrivals win ties). With no
+    /// arrival to wait for, a waiting partial batch flushes at the
+    /// earliest legal instant (its latest submit time) instead of at
+    /// its window deadline.
+    VirtualTime arrival_horizon = kNeverUs;
+    /// Bounds ATC rounds by arrival_horizon as well (the simulator),
+    /// keeping every event in global virtual-time order. When false
+    /// (serving), ATC work is drained eagerly even though ATC clocks
+    /// run past the horizon; only flushes wait for it.
+    bool pace_to_horizon = false;
+  };
 
   /// An engine over `dataset`: by default a fresh, empty one that this
   /// engine builds; otherwise one another engine already finalized,
@@ -176,7 +157,7 @@ class Engine {
   /// (id/user/submit time unset) without admitting anything. Reads only
   /// structures that are immutable after FinalizeCatalog() (inverted
   /// index, schema graph, catalog), so it is safe to call from any
-  /// thread concurrently with Step() — the sharded serving layer uses
+  /// thread concurrently with Drain() — the sharded serving layer uses
   /// this to split one query's CQs across engines before routing.
   Result<UserQuery> GenerateCandidates(
       const std::string& keywords, const CandidateGenOptions& options) const;
@@ -187,31 +168,31 @@ class Engine {
   /// through this; Ingest() is GenerateCandidates() + IngestPrepared().
   Status IngestPrepared(UserQuery q, VirtualTime at_us);
 
-  // ---- the event loop primitive ----
+  // ---- the drive ----
 
-  /// Processes the single earliest pending event (batch flush or one
-  /// ATC scheduling round) subject to `options`, or reports kIdle.
-  Result<StepOutcome> Step(const StepOptions& options);
-
-  /// \brief One completed user query, as published on the completion
-  /// queue: the per-query metrics plus a copy of its ranked top-k
-  /// (snapshotted by the completing ATC's drain worker before the
-  /// merge is retired).
+  /// \brief One completed user query, as handed to the CompletedSink:
+  /// the per-query metrics plus a copy of its ranked top-k (snapshotted
+  /// by the completing ATC's drain worker before the merge is retired).
   struct CompletedQuery {
     UserQueryMetrics metrics;
     std::vector<ResultTuple> results;
   };
 
-  /// Delivery callback for DrainServing() completions. Always invoked
-  /// on the thread driving DrainServing (the shard executor), as the
-  /// coordinator drains the MPSC completion queue — never on a pool
-  /// worker.
+  /// Delivery callback for completed queries. Installing one puts the
+  /// engine in serving mode: each completion is handed off and its query
+  /// retired — its UserQuery, rank-merge, recovery m-joins and replay
+  /// streams are freed — and metrics(), optimization_records() and
+  /// generation_failures() stay empty, so a long-lived service does not
+  /// grow without bound. Without a sink (the simulator) the engine keeps
+  /// all of that for post-run reads. Install before the first Ingest();
+  /// always invoked on the thread driving Drain(), as the coordinator
+  /// drains the MPSC completion queue — never on a pool worker.
   using CompletedSink = std::function<void(CompletedQuery&&)>;
   void set_completed_sink(CompletedSink sink) {
     completed_sink_ = std::move(sink);
   }
 
-  /// What one DrainServing() call did.
+  /// What one Drain() call did.
   struct EpochOutcome {
     /// Batches flushed (optimized + grafted).
     int flushes = 0;
@@ -219,28 +200,22 @@ class Engine {
     bool worked = false;
   };
 
-  /// The serving-mode epoch drive (multi-core epochs): alternates
-  /// serialized flush sections with parallel per-ATC drain segments
-  /// until nothing is runnable under `options` (interpreted with
-  /// serving semantics — pace_to_horizon is ignored and treated as
-  /// false). Each segment runs every ATC with pending work up to the
-  /// next due flush deadline (exactly the point the serial Step() loop
-  /// would flush at: an ATC only ever executes rounds while its own
-  /// clock is below the deadline), on QConfig::exec_threads executors.
-  /// Completions are delivered through the CompletedSink; per-UQ top-k
-  /// content is byte-equivalent at every thread count. Equivalent to
-  /// looping Step() + DrainCompletions when exec_threads == 1.
-  Result<EpochOutcome> DrainServing(const StepOptions& options);
+  /// Runs every event due under `options`: alternates serialized flush
+  /// sections with parallel per-ATC drain segments until nothing more
+  /// is runnable. The next flush is due at the batcher's deadline if
+  /// that is strictly before the arrival horizon. Each segment runs
+  /// every ATC with pending work, on QConfig::exec_threads executors,
+  /// while its own clock is below that deadline (and below the horizon
+  /// when pace_to_horizon is set). No ATC observes another's rounds, so
+  /// per-UQ results and metrics are byte-equivalent at every thread
+  /// count.
+  Result<EpochOutcome> Drain(const DrainOptions& options);
 
-  /// Whether any event could ever become runnable (waiting batch or
-  /// incomplete ATC work).
-  bool HasWork() const;
-
-  /// Monotone count of scheduling-round iterations driven by
-  /// DrainServing — the engine-level half of a shard's heartbeat. A
-  /// long epoch still ticks this every round, so a supervisor can tell
-  /// "slow but alive" from "wedged" without waiting for the epoch to
-  /// end. Readable from any thread.
+  /// Monotone count of scheduling-round iterations driven by Drain —
+  /// the engine-level half of a shard's heartbeat. A long epoch still
+  /// ticks this every round, so a supervisor can tell "slow but alive"
+  /// from "wedged" without waiting for the epoch to end. Readable from
+  /// any thread.
   int64_t progress_ticks() const {
     return progress_ticks_.load(std::memory_order_relaxed);
   }
@@ -249,23 +224,6 @@ class Engine {
   /// once per Run(); the serving layer once per epoch, so the runaway
   /// guard bounds a single drain rather than the service's lifetime.
   void ResetRoundBudget() { rounds_ = 0; }
-
-  /// When false (serving mode), the engine stops accumulating per-query
-  /// history — metrics(), optimization_records(),
-  /// generation_failures() stay empty and a completed query's
-  /// UserQuery object is released right after its completion listener
-  /// fires — so a long-lived service does not grow without bound. The
-  /// simulator keeps the default (true): its whole point is the
-  /// post-run records.
-  void set_retain_history(bool retain) { retain_history_ = retain; }
-
-  /// Called after every completed user query with its metrics; results
-  /// are available via ResultsFor() at callback time. Invoked from
-  /// whichever thread drives Step().
-  using CompletionListener = std::function<void(const UserQueryMetrics&)>;
-  void set_completion_listener(CompletionListener listener) {
-    completion_listener_ = std::move(listener);
-  }
 
   // ---- results & metrics ----
 
@@ -351,23 +309,23 @@ class Engine {
   Status OptimizeAndGraft(const std::vector<const UserQuery*>& batch,
                           Atc* atc, SharingMode mode, int base_tag,
                           VirtualTime flush_at);
-  /// Moves newly completed per-UQ metrics out of the ATCs and fires the
-  /// completion listener for each.
-  void DrainCompletions();
+  /// Serving mode: a CompletedSink takes each completion (see
+  /// set_completed_sink); otherwise the engine keeps per-query history.
+  bool retains_history() const { return !completed_sink_; }
 
-  /// Next due flush deadline under serving semantics (kNeverUs when no
-  /// flush may run before the arrival horizon) — the single definition
-  /// Step() and DrainServing() share.
-  VirtualTime NextFlushDeadline(const StepOptions& options) const;
+  /// The next due flush deadline: kNeverUs when no flush is due strictly
+  /// before `arrival_horizon`.
+  VirtualTime NextFlushDeadline(VirtualTime arrival_horizon) const;
   /// Runs every ATC with pending work up to `bound` on the scheduler
   /// pool (per-ATC locks; round budget enforced across workers).
   Status DrainAtcsTo(VirtualTime bound);
   /// Worker-side completion handling for one ATC (caller holds the
-  /// ATC's lock): snapshot results, publish on the completion queue,
-  /// retire the merge.
+  /// ATC's lock): publish on the completion queue and, in serving mode,
+  /// snapshot the results and retire the merge.
   void HarvestCompletions(Atc* atc);
-  /// Coordinator-side: pops published completions, releases engine
-  /// bookkeeping, and fires the CompletedSink.
+  /// Coordinator-side: pops published completions and either records
+  /// their metrics or releases engine bookkeeping and fires the
+  /// CompletedSink.
   void DrainCompletionQueue();
 
   QConfig config_;
@@ -383,8 +341,8 @@ class Engine {
   std::unique_ptr<PlanGrafter> grafter_;
   QueryBatcher batcher_;
   std::vector<std::unique_ptr<Atc>> atcs_;
-  /// Worker pool for parallel ATC drains (lazily created on the first
-  /// DrainServing with exec_threads > 1; null otherwise).
+  /// Worker pool for ATC drains (created on the first Drain that has
+  /// ATC work; spawns exec_threads - 1 workers).
   std::unique_ptr<AtcScheduler> scheduler_;
   /// Drain workers -> coordinator handoff of completed queries.
   MpscQueue<CompletedQuery> completed_queue_;
@@ -394,7 +352,6 @@ class Engine {
   std::vector<UserQueryMetrics> metrics_;
   std::vector<OptimizationRecord> opt_records_;
   std::vector<std::pair<int, Status>> generation_failures_;
-  CompletionListener completion_listener_;
   /// Serving observability (null in the simulator): set once before
   /// serving via SetObservability, read by the coordinator and by
   /// drain workers created afterwards.
@@ -409,7 +366,6 @@ class Engine {
   /// Scheduling-round liveness counter (see progress_ticks()).
   std::atomic<int64_t> progress_ticks_{0};
   bool finalized_ = false;
-  bool retain_history_ = true;
 };
 
 }  // namespace qsys

@@ -37,14 +37,14 @@ Status QSystem::Run() {
   size_t next_arrival = 0;
 
   for (;;) {
-    Engine::StepOptions step;
-    step.arrival_horizon = next_arrival < arrivals_.size()
-                               ? arrivals_[next_arrival].at_us
-                               : Engine::kNeverUs;
-    step.drain_pending = step.arrival_horizon == Engine::kNeverUs;
-    step.pace_to_horizon = true;
-    QSYS_ASSIGN_OR_RETURN(Engine::StepOutcome out, engine_->Step(step));
-    if (out.kind != Engine::StepKind::kIdle) continue;
+    // Run every event before the next arrival, in virtual-time order,
+    // then ingest it.
+    Engine::DrainOptions drain;
+    drain.arrival_horizon = next_arrival < arrivals_.size()
+                                ? arrivals_[next_arrival].at_us
+                                : Engine::kNeverUs;
+    drain.pace_to_horizon = true;
+    QSYS_RETURN_IF_ERROR(engine_->Drain(drain).status());
     if (next_arrival >= arrivals_.size()) break;  // timeline exhausted
     const PendingArrival& a = arrivals_[next_arrival];
     // Generation failures are per-user outcomes, recorded by the engine

@@ -4,10 +4,14 @@
 // A QSystem wraps an Engine (src/core/engine.h) — the batcher ->
 // multi-query optimizer -> graft -> shared ATC pipeline — and drives it
 // as a discrete-event simulation: users pose keyword queries at virtual
-// times, Run() plays the whole timeline through Engine::Step() and
-// records per-query latencies and work counters. The wall-clock serving
-// layer (src/serve/query_service.h) drives the very same Engine::Step()
-// code path from real client threads instead of a scripted timeline.
+// times, Run() plays the whole timeline through Engine::Drain() — drain
+// to the next arrival, ingest it, repeat — and records per-query
+// latencies and work counters. The wall-clock serving layer
+// (src/serve/query_service.h) drives the very same Engine::Drain() from
+// real client threads instead of a scripted timeline. Each ATC runs its
+// scheduling rounds while its clock is below both the next due flush
+// and the next arrival, so with QConfig::exec_threads > 1 independent
+// ATCs run on separate cores with byte-identical results.
 //
 // Typical use:
 //

@@ -82,7 +82,7 @@ enum class ServiceMetric : int {
   kQueueWait,
   /// One multi-query optimizer run (measured wall time).
   kOptimizeTime,
-  /// One shard serving epoch (DrainServing wall time).
+  /// One shard serving epoch (Engine::Drain wall time).
   kEpochDuration,
 };
 

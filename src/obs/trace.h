@@ -53,7 +53,7 @@ enum class TraceEventType : uint8_t {
   kGraft,            ///< span: grafting the optimized groups
   kRederive,         ///< instant: warm-graft prefix tuples re-derived
   kWatermarkSkip,    ///< instant: replays skipped via the watermark
-  kEpoch,            ///< span: one shard serving epoch (DrainServing)
+  kEpoch,            ///< span: one shard serving epoch (Engine::Drain)
   kAtcExec,          ///< span: one ATC's scheduling rounds in an epoch
   kEvict,            ///< instant: state-manager budget enforcement
   kSpillDemote,      ///< span: cache item serialized to the spill tier

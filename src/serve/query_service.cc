@@ -272,6 +272,18 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
   request.submit_us = NowUs();
 
   int uq_id = request.uq_id;
+  // The admit instant is the pre-push time: once pushed, the executor
+  // may ingest, run and resolve the query before this thread goes on.
+  const int64_t submit_us = request.submit_us;
+  auto record_admit = [&] {
+    if (tracer_ == nullptr) return;
+    TraceEvent admit;
+    admit.type = TraceEventType::kAdmit;
+    admit.ts_us = submit_us;
+    admit.uq_id = uq_id;
+    admit.shard = static_cast<int16_t>(shard);
+    tracer_->Record(admit);
+  };
   std::shared_future<QueryOutcome> future = RegisterInFlight(
       uq_id, session, keywords, shard, options, deadline_us);
 
@@ -283,9 +295,7 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
     // query and hand it to the fault-tolerance layer (retry elsewhere
     // or a terminal kUnavailable — never a hang).
     counters_.submitted.fetch_add(1, std::memory_order_relaxed);
-    if (tracer_ != nullptr) {
-      tracer_->Instant(TraceEventType::kAdmit, shard, uq_id);
-    }
+    record_admit();
     FailOverOne(uq_id, Status::Unavailable(
                            "shard " + std::to_string(shard) + " is down"));
     return QueryTicket(uq_id, std::move(future));
@@ -313,9 +323,7 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
   }
   counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   route_counters_[shard].local.fetch_add(1, std::memory_order_relaxed);
-  if (tracer_ != nullptr) {
-    tracer_->Instant(TraceEventType::kAdmit, shard, uq_id);
-  }
+  record_admit();
   return QueryTicket(uq_id, std::move(future));
 }
 

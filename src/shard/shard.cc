@@ -42,15 +42,13 @@ Status EngineShard::Start(Clock::time_point start_wall, bool manual) {
   if (!engine_->finalized()) {
     return Status::FailedPrecondition("catalog not finalized");
   }
-  // Clients get their outcomes through the completion callback; a
-  // long-lived shard must not accumulate per-query history.
-  engine_->set_retain_history(false);
   // Completed queries flow: ATC drain worker -> lock-free MPSC
   // completion queue -> this sink, which the engine invokes while the
-  // executor (coordinator) thread drains the queue inside
-  // DrainServing. The record owns a snapshot of the ranked answers
-  // (the merge itself is already retired), so the callback just
-  // borrows pointers for its duration; the callee must copy.
+  // executor (coordinator) thread drains the queue inside Drain. The
+  // sink also keeps a long-lived shard from accumulating per-query
+  // history. The record owns a snapshot of the ranked answers (the
+  // merge itself is already retired), so the callback just borrows
+  // pointers for its duration; the callee must copy.
   engine_->set_completed_sink([this](Engine::CompletedQuery&& done) {
     if (!completion_fn_) return;
     Completion c;
@@ -232,16 +230,17 @@ bool EngineShard::RunDueEpochs(bool drain_partial) {
   const int64_t epoch_t0 =
       (tracer_ != nullptr || metrics_ != nullptr) ? NowUs() : 0;
   engine_->ResetRoundBudget();  // max_rounds bounds one epoch
-  Engine::StepOptions step;
-  step.pace_to_horizon = false;
-  step.drain_pending = drain_partial;
-  step.arrival_horizon = drain_partial ? Engine::kNeverUs : NowUs() + 1;
-  // The executor thread is the epoch *coordinator*: DrainServing fans
-  // the per-ATC scheduling rounds out to the engine's worker pool
+  // The next arrival may come in the next microsecond, so only batches
+  // whose deadline has passed flush; a draining shutdown expects no
+  // more arrivals and flushes a partial batch too.
+  Engine::DrainOptions drain;
+  drain.arrival_horizon = drain_partial ? Engine::kNeverUs : NowUs() + 1;
+  // The executor thread is the epoch *coordinator*: Drain fans the
+  // per-ATC scheduling rounds out to the engine's worker pool
   // (QConfig::exec_threads) and runs every serialized section — flush,
   // optimize, graft, budget enforcement, completion delivery — right
   // here, still under engine_mu_.
-  Result<Engine::EpochOutcome> out = engine_->DrainServing(step);
+  Result<Engine::EpochOutcome> out = engine_->Drain(drain);
   if (!out.ok()) {
     SetTerminal(out.status());
     PublishStatsLocked();

@@ -15,7 +15,7 @@
 // Threading model: client threads call TrySubmit()/SubmitBlocking();
 // the executor thread (or the service's PumpOnce() in manual mode) is
 // the only *driver* of the Engine, always under engine_mu_. Within an
-// epoch the executor acts as coordinator: Engine::DrainServing fans
+// epoch the executor acts as coordinator: Engine::Drain fans
 // per-ATC scheduling rounds out to the engine's AtcScheduler pool
 // (QConfig::exec_threads, each ATC under its own lock) and keeps every
 // cross-ATC structure — batcher, optimizer, grafter, state registry,

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "src/common/rng.h"
 #include "src/exec/mjoin_op.h"
@@ -26,6 +28,17 @@ struct DiffCase {
   bool probe_modules; // drive some inputs by remote probe
   bool adaptive;
 };
+
+std::string DiffCaseName(const DiffCase& c) {
+  return "seed" + std::to_string(c.seed) + "_e" +
+         std::to_string(c.num_entities) +
+         (c.probe_modules ? "_probe" : "_stream") +
+         (c.adaptive ? "_adaptive" : "_fixed");
+}
+
+// Print a case by name. The default byte dump includes uninitialized
+// struct padding, which would change the listed test IDs between builds.
+void PrintTo(const DiffCase& c, std::ostream* os) { *os << DiffCaseName(c); }
 
 class MJoinDifferential : public ::testing::TestWithParam<DiffCase> {
  protected:
@@ -200,10 +213,7 @@ INSTANTIATE_TEST_SUITE_P(
         DiffCase{7, 4, 5, true, false}, DiffCase{8, 2, 20, true, true},
         DiffCase{9, 3, 12, false, false}, DiffCase{10, 4, 8, true, true}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
-      return "seed" + std::to_string(info.param.seed) + "_e" +
-             std::to_string(info.param.num_entities) +
-             (info.param.probe_modules ? "_probe" : "_stream") +
-             (info.param.adaptive ? "_adaptive" : "_fixed");
+      return DiffCaseName(info.param);
     });
 
 // The rank-merge must agree with a brute-force top-k over the reference

@@ -448,7 +448,7 @@ TEST(ObsServeTest, ServeRunProducesWellFormedSpans) {
 
   std::map<int, int64_t> admit_ts;       // uq -> admit timestamp
   std::map<int, int64_t> resolve_ts;     // uq -> resolve timestamp
-  std::vector<TraceEvent> epochs, atc_execs;
+  std::vector<TraceEvent> queue_waits, epochs, atc_execs;
   for (const TraceEvent& e : events) {
     EXPECT_GE(e.dur_us, 0);
     if (!TraceEventIsSpan(e.type)) {
@@ -460,6 +460,9 @@ TEST(ObsServeTest, ServeRunProducesWellFormedSpans) {
         break;
       case TraceEventType::kResolve:
         resolve_ts.emplace(e.uq_id, e.ts_us);
+        break;
+      case TraceEventType::kQueueWait:
+        queue_waits.push_back(e);
         break;
       case TraceEventType::kEpoch:
         epochs.push_back(e);
@@ -480,6 +483,14 @@ TEST(ObsServeTest, ServeRunProducesWellFormedSpans) {
     auto it = admit_ts.find(uq);
     ASSERT_NE(it, admit_ts.end()) << "uq " << uq << " resolved, no admit";
     EXPECT_LE(it->second, rts) << "uq " << uq;
+  }
+  // The admit is stamped before the shard queue sees the query, so it
+  // never follows the queue wait that push starts.
+  ASSERT_FALSE(queue_waits.empty());
+  for (const TraceEvent& w : queue_waits) {
+    auto it = admit_ts.find(w.uq_id);
+    ASSERT_NE(it, admit_ts.end()) << "uq " << w.uq_id << " queued, no admit";
+    EXPECT_LE(it->second, w.ts_us) << "uq " << w.uq_id;
   }
 
   // Execution happened on both shards, on multiple exec threads, and

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "src/workload/runner.h"
 #include "tests/test_util.h"
@@ -18,6 +19,14 @@ struct PropertyCase {
   uint64_t workload_seed;
   int num_relations;
 };
+
+// Print a case by its fields. The default byte dump includes
+// uninitialized struct padding, which would change the listed test IDs
+// between builds.
+void PrintTo(const PropertyCase& c, std::ostream* os) {
+  *os << "data" << c.data_seed << "_workload" << c.workload_seed << "_rel"
+      << c.num_relations;
+}
 
 class ShardedWorkloadProperty
     : public ::testing::TestWithParam<PropertyCase> {};

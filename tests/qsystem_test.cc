@@ -1,9 +1,14 @@
 // Facade-level tests for QSystem: lifecycle preconditions, configuration
 // knobs (k, batching, adaptivity, eviction, temporal reuse), per-user
-// scoring, and discrete-event timeline behavior.
+// scoring, discrete-event timeline behavior, and parallel ATC drains.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/workload/bio_terms.h"
+#include "src/workload/gus.h"
 #include "tests/test_util.h"
 
 namespace qsys {
@@ -216,6 +221,83 @@ TEST(QSystemTimeline, ClusteredConfigRespectsGraphCap) {
   ASSERT_TRUE(sys.Run().ok());
   EXPECT_LE(sys.num_atcs(), 2);
   EXPECT_EQ(sys.metrics().size(), 4u);
+}
+
+// The simulator drains its ATCs on the same AtcScheduler pool as the
+// serving layer. Under clustered sharing an engine runs several
+// independent ATCs, so with exec_threads > 1 their rounds really run
+// concurrently; every query's timeline, work and answers must still
+// come out identical.
+TEST(QSystemParallelAtcs, ExecThreadsLeaveEveryQueryUnchanged) {
+  struct SimRun {
+    std::vector<UserQueryMetrics> metrics;
+    std::vector<std::string> fingerprints;
+    ExecStats stats;
+    int num_atcs = 0;
+  };
+  auto simulate = [](int exec_threads) {
+    QConfig config;
+    config.sharing = SharingConfig::kAtcCl;
+    config.k = 50;
+    config.batch_size = 5;
+    config.max_rounds = 200'000'000;
+    // Charge no measured optimizer wall time: virtual times then depend
+    // on the inputs alone.
+    config.opt_time_multiplier = 0;
+    config.exec_threads = exec_threads;
+    QSystem sys(config);
+    GusOptions gus;
+    gus.num_relations = 80;
+    gus.min_rows = 60;
+    gus.max_rows = 180;
+    gus.seed = 3;
+    EXPECT_TRUE(BuildGusDataset(sys, gus).ok());
+    WorkloadOptions workload;
+    workload.num_queries = 15;
+    workload.seed = 7;
+    for (const WorkloadQuery& q :
+         GenerateBioWorkload(BioVocabulary(), workload)) {
+      EXPECT_TRUE(
+          sys.Pose(q.keywords, q.user_id, q.pose_time_us, &q.options).ok());
+    }
+    EXPECT_TRUE(sys.Run().ok());
+    SimRun run;
+    run.metrics = sys.metrics();
+    for (const UserQueryMetrics& m : run.metrics) {
+      const std::vector<ResultTuple>* results = sys.ResultsFor(m.uq_id);
+      run.fingerprints.push_back(
+          results != nullptr ? FingerprintResults(*results) : "");
+    }
+    run.stats = sys.aggregate_stats();
+    run.num_atcs = sys.num_atcs();
+    return run;
+  };
+
+  const SimRun serial = simulate(1);
+  const SimRun parallel = simulate(3);
+  EXPECT_GT(serial.num_atcs, 1);
+  EXPECT_EQ(parallel.num_atcs, serial.num_atcs);
+  ASSERT_FALSE(serial.metrics.empty());
+  ASSERT_EQ(parallel.metrics.size(), serial.metrics.size());
+  for (size_t i = 0; i < serial.metrics.size(); ++i) {
+    const UserQueryMetrics& a = serial.metrics[i];
+    const UserQueryMetrics& b = parallel.metrics[i];
+    EXPECT_EQ(b.uq_id, a.uq_id);
+    EXPECT_EQ(b.submit_time_us, a.submit_time_us) << "uq " << a.uq_id;
+    EXPECT_EQ(b.start_time_us, a.start_time_us) << "uq " << a.uq_id;
+    EXPECT_EQ(b.complete_time_us, a.complete_time_us) << "uq " << a.uq_id;
+    EXPECT_EQ(b.cqs_executed, a.cqs_executed) << "uq " << a.uq_id;
+    EXPECT_EQ(b.results, a.results) << "uq " << a.uq_id;
+    EXPECT_EQ(b.tuples_from_shared, a.tuples_from_shared)
+        << "uq " << a.uq_id;
+    EXPECT_EQ(b.est_saved_us, a.est_saved_us) << "uq " << a.uq_id;
+    EXPECT_EQ(parallel.fingerprints[i], serial.fingerprints[i])
+        << "uq " << a.uq_id;
+  }
+  EXPECT_EQ(parallel.stats.tuples_streamed, serial.stats.tuples_streamed);
+  EXPECT_EQ(parallel.stats.probes_issued, serial.stats.probes_issued);
+  EXPECT_EQ(parallel.stats.join_probes, serial.stats.join_probes);
+  EXPECT_EQ(parallel.stats.ExecTotalUs(), serial.stats.ExecTotalUs());
 }
 
 }  // namespace

@@ -445,32 +445,28 @@ struct ServedEngine {
   ServedEngine() : engine(ExampleConfig()) {
     EXPECT_TRUE(BuildExampleCatalog(engine).ok());
     EXPECT_TRUE(engine.FinalizeCatalog().ok());
-    engine.set_retain_history(false);  // serving mode: eager retirement
-    engine.set_completion_listener([this](const UserQueryMetrics& m) {
-      const std::vector<ResultTuple>* results =
-          engine.ResultsFor(m.uq_id);
-      fingerprints[m.uq_id] =
-          results != nullptr ? FingerprintResults(*results)
-                             : "";
-      result_counts[m.uq_id] = m.results;
+    // Serving mode: every completion is handed off and retired eagerly.
+    engine.set_completed_sink([this](Engine::CompletedQuery&& done) {
+      fingerprints[done.metrics.uq_id] = FingerprintResults(done.results);
+      result_counts[done.metrics.uq_id] = done.metrics.results;
     });
   }
 
-  /// Serving-style drain (the shard executor's Step loop); stops after
-  /// `max_steps` non-idle steps when `max_steps` >= 0.
-  int Drain(int max_steps) {
-    Engine::StepOptions step;
-    step.pace_to_horizon = false;
-    step.drain_pending = true;
-    step.arrival_horizon = Engine::kNeverUs;
-    int n = 0;
-    while (max_steps < 0 || n < max_steps) {
-      auto out = engine.Step(step);
-      EXPECT_TRUE(out.ok()) << out.status().ToString();
-      if (!out.ok() || out.value().kind == Engine::StepKind::kIdle) break;
-      ++n;
+  /// Runs every event before virtual time `horizon` (ATC rounds
+  /// included), or everything when `horizon` is Engine::kNeverUs.
+  void Drain(VirtualTime horizon) {
+    Engine::DrainOptions drain;
+    drain.arrival_horizon = horizon;
+    drain.pace_to_horizon = true;
+    auto out = engine.Drain(drain);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+  }
+
+  bool HasAtcWork() const {
+    for (int i = 0; i < engine.num_atcs(); ++i) {
+      if (engine.atc(i).HasWork()) return true;
     }
-    return n;
+    return false;
   }
 };
 
@@ -494,7 +490,7 @@ TEST(ZeroResultFlakeTest, SeedSweptWarmGraftsNeverLoseResults) {
     ServedEngine s;
     int id = s.engine.AllocateUqId();
     ASSERT_TRUE(s.engine.Ingest(id, q, 1, 0, {}).ok()) << q;
-    s.Drain(-1);
+    s.Drain(Engine::kNeverUs);
     ASSERT_TRUE(s.fingerprints.count(id) > 0) << q;
     ASSERT_FALSE(s.fingerprints[id].empty()) << q;
     fresh[q] = s.fingerprints[id];
@@ -509,6 +505,7 @@ TEST(ZeroResultFlakeTest, SeedSweptWarmGraftsNeverLoseResults) {
     return rng >> 33;
   };
   int cases = 0;
+  int live_grafts = 0;
   for (int trial = 0; trial < 10; ++trial) {
     for (size_t i = perm.size() - 1; i > 0; --i) {
       std::swap(perm[i], perm[next_rand() % (i + 1)]);
@@ -522,18 +519,23 @@ TEST(ZeroResultFlakeTest, SeedSweptWarmGraftsNeverLoseResults) {
         ASSERT_TRUE(
             s.engine.Ingest(ids[perm[i]], queries[perm[i]], 1, 0, {}).ok());
       }
-      int ran = s.Drain(split);
-      // Second batch grafts after `split` rounds — mid-execution for
-      // small splits, onto fully exhausted streams for large ones.
+      // Second batch arrives at `horizon` and grafts after batch one
+      // ran every round before it — mid-execution for small splits,
+      // onto fully exhausted streams for large ones.
+      const VirtualTime horizon = split * 2000;
+      s.Drain(horizon);
+      const bool batch_one_live = s.HasAtcWork();
+      const bool batch_one_done = s.engine.num_atcs() > 0 && !batch_one_live;
       for (int i = 4; i < 8; ++i) {
         ids[perm[i]] = s.engine.AllocateUqId();
         ASSERT_TRUE(s.engine
-                        .Ingest(ids[perm[i]], queries[perm[i]], 1,
-                                split + 10, {})
+                        .Ingest(ids[perm[i]], queries[perm[i]], 1, horizon,
+                                {})
                         .ok());
       }
-      s.Drain(-1);
+      s.Drain(Engine::kNeverUs);
       ++cases;
+      if (batch_one_live) ++live_grafts;
       for (size_t q = 0; q < queries.size(); ++q) {
         ASSERT_TRUE(s.fingerprints.count(ids[q]) > 0)
             << "unresolved: " << queries[q];
@@ -544,11 +546,13 @@ TEST(ZeroResultFlakeTest, SeedSweptWarmGraftsNeverLoseResults) {
             << "warm/fresh divergence: trial=" << trial
             << " split=" << split << " \"" << queries[q] << "\"";
       }
-      if (ran < split) break;  // batch one exhausted; larger splits equal
+      if (batch_one_done) break;  // larger splits graft the same way
     }
   }
-  // The acceptance bar: a seed-swept repeat of >= 200 warm-graft runs.
+  // The acceptance bar: a seed-swept repeat of >= 200 warm-graft runs,
+  // some of which graft while batch one is still executing.
   EXPECT_GE(cases * static_cast<int>(queries.size()), 200);
+  EXPECT_GT(live_grafts, 0);
 }
 
 }  // namespace
