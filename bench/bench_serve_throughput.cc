@@ -96,7 +96,6 @@ bool RunShardedWorkload(int num_shards,
   options.config.sharing = SharingConfig::kAtcFull;
   options.config.batch_window_us = 50'000;
   options.config.num_shards = num_shards;
-  options.config.shard_affinity = ShardAffinity::kSignatureHash;
   options.queue_capacity = kNumQueries;
 
   // ---- deterministic pass: fingerprints ----
@@ -201,7 +200,6 @@ bool RunTracedPass(const std::string& path,
   options.config.batch_window_us = 50'000;
   options.config.num_shards = 2;
   options.config.exec_threads = 2;
-  options.config.shard_affinity = ShardAffinity::kSignatureHash;
   options.config.trace_buffer_events = 1 << 16;
   options.queue_capacity = kNumQueries;
   QueryService service(options);

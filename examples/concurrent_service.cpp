@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
     // shard, plus the decision journal for Explain().
     options.config.num_shards = 2;
     options.config.exec_threads = 2;
-    options.config.shard_affinity = ShardAffinity::kSignatureHash;
     options.config.trace_buffer_events = 1 << 14;
     options.config.explain_journal_queries = 64;
   }

@@ -3,13 +3,13 @@
 //
 //   $ ./sharded_service
 //
-// The service hash-partitions incoming keyword queries across
-// QConfig::num_shards engine shards, each with its own executor thread,
-// batcher, ATCs, and retained-state cache, all over one shared dataset.
-// Routing is stable (the same logical query — any term order or casing
-// — always lands on the shard that holds its reusable state), and
-// every outcome is canonicalized
-// through the cross-shard RankMerger, so the ranking a client sees is
+// The service routes each incoming keyword query by its canonical
+// signature to one of QConfig::num_shards engine shards, each with its
+// own executor thread, batcher, ATCs, and retained-state cache, all
+// over one shared dataset. Routing is stable (the same logical query —
+// any term order or casing — always lands on the shard that holds its
+// reusable state), and each shard's rank-merge orders answers under
+// one canonical total order, so the ranking a client sees is
 // byte-identical to what a single-engine service would deliver.
 //
 // The walkthrough below:
@@ -21,10 +21,6 @@
 //   4. re-runs one query to show temporal reuse still works under
 //      sharding (same shard, warmer counters),
 //   5. prints the aggregated service counters.
-//
-// Try ShardAffinity::kTableAffinity (co-locate by hottest matched
-// relation) or kScatterCqs (split one query's CQs across all shards and
-// cross-shard-merge the top-k) by changing `shard_affinity` below.
 
 #include <cstdio>
 #include <mutex>
@@ -119,7 +115,6 @@ int main() {
   options.config.batch_size = 4;
   options.config.batch_window_us = 20'000;  // 20 ms wall-clock window
   options.config.num_shards = 3;
-  options.config.shard_affinity = ShardAffinity::kSignatureHash;
 
   QueryService service(options);
   Status built = service.BuildEachEngine(BuildCatalog);
@@ -132,8 +127,8 @@ int main() {
     printf("start failed: %s\n", started.ToString().c_str());
     return 1;
   }
-  printf("serving on %d shards (%s routing)\n\n", service.num_shards(),
-         ShardAffinityName(service.router().affinity()));
+  printf("serving on %d shards (canonical-signature routing)\n\n",
+         service.num_shards());
 
   // 2. Three clients with overlapping keywords; note the term-order
   // variants — the canonical signature co-locates them.

@@ -206,13 +206,11 @@ static_assert(sizeof(SpillStats) == 8 * sizeof(int64_t),
               "in tests/obs_test.cc");
 
 /// \brief Per-shard routing-decision counters: how many queries were
-/// routed whole to a shard (local) vs. how many scattered queries were
-/// attributed to it (ShardAffinity::kScatterCqs). Exported as the
-/// qsys_route_*_total Prometheus families. Plain snapshot struct; the
-/// service keeps the atomic originals.
+/// routed to a shard (local). Exported as the qsys_route_local_total
+/// Prometheus family. Plain snapshot struct; the service keeps the
+/// atomic originals.
 struct RouteStats {
   int64_t local = 0;
-  int64_t scatter = 0;
 };
 
 /// \brief Admission/serving counters for the wall-clock query service.
@@ -236,9 +234,6 @@ struct ServiceCounters {
   std::atomic<int64_t> epochs{0};
   /// Batches flushed to the optimizer across all epochs and shards.
   std::atomic<int64_t> batches_flushed{0};
-  /// Scatter queries whose per-shard top-k streams were cross-shard
-  /// rank-merged (ShardAffinity::kScatterCqs only).
-  std::atomic<int64_t> cross_shard_merges{0};
 
   // -- fault-tolerance counters (ShardSupervisor + retry path) --
   /// Re-submissions of a query after its shard failed or stalled

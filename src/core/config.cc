@@ -16,16 +16,4 @@ const char* SharingConfigName(SharingConfig c) {
   return "?";
 }
 
-const char* ShardAffinityName(ShardAffinity a) {
-  switch (a) {
-    case ShardAffinity::kSignatureHash:
-      return "signature-hash";
-    case ShardAffinity::kTableAffinity:
-      return "table-affinity";
-    case ShardAffinity::kScatterCqs:
-      return "scatter-cqs";
-  }
-  return "?";
-}
-
 }  // namespace qsys

@@ -28,29 +28,6 @@ enum class SharingConfig {
 
 const char* SharingConfigName(SharingConfig c);
 
-/// \brief How the serving layer's shard router assigns an incoming user
-/// query to one of `QConfig::num_shards` independent engines
-/// (src/shard/shard_router.h).
-enum class ShardAffinity {
-  /// Hash of the canonical query signature (lowercased, sorted,
-  /// deduplicated keyword terms). Repeats of the same keyword query —
-  /// regardless of term order or case — always land on the same shard,
-  /// so temporal reuse of retained state keeps working under sharding.
-  kSignatureHash,
-  /// ATC-CL-style cluster affinity: route by the smallest source
-  /// relation any keyword matches, so queries sharing hot relations
-  /// co-locate on the same shard and keep sharing subexpressions.
-  /// Falls back to the signature hash when no keyword matches.
-  kTableAffinity,
-  /// Scatter: split one user query's conjunctive queries round-robin
-  /// across every shard and cross-shard-merge the per-shard top-k
-  /// streams (src/shard/rank_merger.h). Maximizes per-query
-  /// parallelism at the cost of cross-query sharing.
-  kScatterCqs,
-};
-
-const char* ShardAffinityName(ShardAffinity a);
-
 /// \brief Top-level configuration for a QSystem instance.
 struct QConfig {
   SharingConfig sharing = SharingConfig::kAtcFull;
@@ -108,8 +85,6 @@ struct QConfig {
   /// (optional) spill tier. 1 keeps the single-engine behavior; the
   /// simulator (QSystem) ignores this.
   int num_shards = 1;
-  /// How queries are routed across shards (ignored when num_shards=1).
-  ShardAffinity shard_affinity = ShardAffinity::kSignatureHash;
 
   /// Intra-shard parallelism (multi-core epochs): number of executors
   /// driving one engine's ATC scheduling rounds concurrently. The
@@ -144,10 +119,6 @@ struct QConfig {
   /// entirely: no allocation, and every record site is a single
   /// null-pointer check.
   int explain_journal_queries = 0;
-  /// Cap on journal events retained per user query (drop-newest once
-  /// full; the truncation is itself recorded). Bounds Explain() output
-  /// for pathological plans.
-  int explain_journal_events_per_query = 256;
 
   /// Conversion factor from measured optimizer wall time to virtual
   /// time charged on the clock.

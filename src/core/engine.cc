@@ -84,19 +84,6 @@ Result<UserQuery> Engine::GenerateCandidates(
   return candidate_gen_->Generate(keywords, config_.k, options);
 }
 
-Status Engine::IngestPrepared(UserQuery q, VirtualTime at_us) {
-  if (!finalized_) {
-    return Status::FailedPrecondition("FinalizeCatalog() not called");
-  }
-  q.submit_time_us = at_us;
-  for (ConjunctiveQuery& cq : q.cqs) {
-    cq.id = next_cq_id_++;
-    cq.uq_id = q.id;
-  }
-  batcher_.Add(std::move(q));
-  return Status::OK();
-}
-
 Status Engine::Ingest(int uq_id, const std::string& keywords, int user_id,
                       VirtualTime at_us,
                       const CandidateGenOptions& options) {
@@ -112,7 +99,13 @@ Status Engine::Ingest(int uq_id, const std::string& keywords, int user_id,
   UserQuery q = std::move(uq).value();
   q.id = uq_id;
   q.user_id = user_id;
-  return IngestPrepared(std::move(q), at_us);
+  q.submit_time_us = at_us;
+  for (ConjunctiveQuery& cq : q.cqs) {
+    cq.id = next_cq_id_++;
+    cq.uq_id = q.id;
+  }
+  batcher_.Add(std::move(q));
+  return Status::OK();
 }
 
 Atc* Engine::GetOrCreateAtc(int index_hint, VirtualTime start_time) {

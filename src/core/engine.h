@@ -154,19 +154,13 @@ class Engine {
                 VirtualTime at_us, const CandidateGenOptions& options);
 
   /// Candidate generation only: expands `keywords` into a UserQuery
-  /// (id/user/submit time unset) without admitting anything. Reads only
-  /// structures that are immutable after FinalizeCatalog() (inverted
-  /// index, schema graph, catalog), so it is safe to call from any
-  /// thread concurrently with Drain() — the sharded serving layer uses
-  /// this to split one query's CQs across engines before routing.
+  /// (id/user/submit time unset) without admitting anything. Ingest()
+  /// runs it first; it is public so callers can time or inspect
+  /// generation on its own. Reads only structures that are immutable
+  /// after FinalizeCatalog() (inverted index, schema graph, catalog),
+  /// so it is safe to call from any thread concurrently with Drain().
   Result<UserQuery> GenerateCandidates(
       const std::string& keywords, const CandidateGenOptions& options) const;
-
-  /// Admits an already-generated user query (id and user_id set by the
-  /// caller) to the batcher at virtual time `at_us`, assigning
-  /// engine-local CQ ids. The scatter path ingests per-shard sub-queries
-  /// through this; Ingest() is GenerateCandidates() + IngestPrepared().
-  Status IngestPrepared(UserQuery q, VirtualTime at_us);
 
   // ---- the drive ----
 

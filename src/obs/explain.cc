@@ -179,15 +179,8 @@ void AppendEventJson(std::string* out, const DecisionEvent& e) {
 
 const char* DecisionKindName(DecisionKind k) { return SpecFor(k).name; }
 
-DecisionJournal::DecisionJournal(int retained_queries, int events_per_query)
-    : retained_queries_(retained_queries > 0 ? retained_queries : 1),
-      events_per_query_(events_per_query > 0 ? events_per_query : 1) {}
-
-int DecisionJournal::ResolveAliasLocked(int uq_id) const {
-  // One-level: Alias() always targets a real parent, never a chain.
-  auto it = alias_.find(uq_id);
-  return it == alias_.end() ? uq_id : it->second;
-}
+DecisionJournal::DecisionJournal(int retained_queries)
+    : retained_queries_(retained_queries > 0 ? retained_queries : 1) {}
 
 void DecisionJournal::Record(int uq_id, DecisionKind kind, int shard,
                              int64_t a, int64_t b, int64_t c, double x,
@@ -207,16 +200,16 @@ void DecisionJournal::Record(int uq_id, DecisionKind kind, int shard,
   std::lock_guard<std::mutex> lock(mu_);
   if (uq_id < 0) {
     e.seq = engine_seq_by_shard_[shard]++;
-    if (static_cast<int>(engine_events_.size()) >= events_per_query_) {
+    if (static_cast<int>(engine_events_.size()) >= kEventsPerQuery) {
       engine_events_.pop_front();
       ++engine_dropped_;
     }
     engine_events_.push_back(e);
     return;
   }
-  PerUq& p = per_uq_[ResolveAliasLocked(uq_id)];
+  PerUq& p = per_uq_[uq_id];
   e.seq = p.seq_by_shard[shard]++;
-  if (static_cast<int>(p.events.size()) >= events_per_query_) {
+  if (static_cast<int>(p.events.size()) >= kEventsPerQuery) {
     ++p.dropped;
     return;
   }
@@ -227,7 +220,7 @@ void DecisionJournal::Credit(int consumer_uq, int producer_uq, int shard,
                              int64_t tuples, VirtualTime est_saved_us) {
   (void)shard;
   std::lock_guard<std::mutex> lock(mu_);
-  PerUq& p = per_uq_[ResolveAliasLocked(consumer_uq)];
+  PerUq& p = per_uq_[consumer_uq];
   Benefit& b = p.by_producer[producer_uq];
   b.tuples += tuples;
   b.est_saved_us += est_saved_us;
@@ -235,18 +228,12 @@ void DecisionJournal::Credit(int consumer_uq, int producer_uq, int shard,
   p.total.est_saved_us += est_saved_us;
 }
 
-void DecisionJournal::Alias(int child_uq, int parent_uq) {
-  std::lock_guard<std::mutex> lock(mu_);
-  alias_[child_uq] = parent_uq;
-}
-
 void DecisionJournal::MarkResolved(int uq_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  int id = ResolveAliasLocked(uq_id);
-  PerUq& p = per_uq_[id];
+  PerUq& p = per_uq_[uq_id];
   if (p.resolved) return;
   p.resolved = true;
-  resolved_fifo_.push_back(id);
+  resolved_fifo_.push_back(uq_id);
   while (static_cast<int>(resolved_fifo_.size()) > retained_queries_) {
     per_uq_.erase(resolved_fifo_.front());
     resolved_fifo_.pop_front();
@@ -255,7 +242,7 @@ void DecisionJournal::MarkResolved(int uq_id) {
 
 bool DecisionJournal::Resolved(int uq_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = per_uq_.find(ResolveAliasLocked(uq_id));
+  auto it = per_uq_.find(uq_id);
   return it != per_uq_.end() && it->second.resolved;
 }
 
@@ -274,11 +261,11 @@ std::vector<const DecisionEvent*> DecisionJournal::OrderedLocked(
 
 std::string DecisionJournal::RenderText(int uq_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = per_uq_.find(ResolveAliasLocked(uq_id));
+  auto it = per_uq_.find(uq_id);
   if (it == per_uq_.end()) return "";
   const PerUq& p = it->second;
   std::string out = "explain uq=";
-  AppendInt(&out, ResolveAliasLocked(uq_id));
+  AppendInt(&out, uq_id);
   out += '\n';
   for (const DecisionEvent* e : OrderedLocked(p)) AppendEventText(&out, *e);
   if (p.dropped > 0) {
@@ -307,11 +294,11 @@ std::string DecisionJournal::RenderText(int uq_id) const {
 
 std::string DecisionJournal::RenderJson(int uq_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = per_uq_.find(ResolveAliasLocked(uq_id));
+  auto it = per_uq_.find(uq_id);
   if (it == per_uq_.end()) return "";
   const PerUq& p = it->second;
   std::string out = "{\"uq\":";
-  AppendInt(&out, ResolveAliasLocked(uq_id));
+  AppendInt(&out, uq_id);
   out += ",\"events\":[";
   bool first = true;
   for (const DecisionEvent* e : OrderedLocked(p)) {

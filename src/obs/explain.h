@@ -94,7 +94,7 @@ struct DecisionEvent {
   DecisionKind kind = DecisionKind::kAtcAssign;
   int shard = 0;
   /// Recording order within (uq, shard) — the deterministic sort key
-  /// for rendering (scatter queries interleave shards at record time).
+  /// for rendering (a retried query records on two shards).
   int seq = 0;
   int64_t a = 0;
   int64_t b = 0;
@@ -109,12 +109,15 @@ struct DecisionEvent {
 /// (events carry the shard id). Thread-safe.
 class DecisionJournal {
  public:
+  /// Cap on events retained per user query (drop-newest once full;
+  /// the truncation is itself recorded), which bounds Explain() output
+  /// for pathological plans. Engine-scope events (eviction/spill) keep
+  /// a separate drop-oldest ring of this many entries.
+  static constexpr int kEventsPerQuery = 256;
+
   /// Retains the journals of the `retained_queries` most recently
-  /// resolved user queries; each query keeps at most
-  /// `events_per_query` events (drop-newest, with the truncation
-  /// itself recorded). Engine-scope events (eviction/spill) keep a
-  /// separate drop-oldest ring of `events_per_query` entries.
-  DecisionJournal(int retained_queries, int events_per_query);
+  /// resolved user queries.
+  explicit DecisionJournal(int retained_queries);
 
   // ---- recording (any thread) ----
 
@@ -131,10 +134,6 @@ class DecisionJournal {
   /// kSharedInherit event separately.
   void Credit(int consumer_uq, int producer_uq, int shard, int64_t tuples,
               VirtualTime est_saved_us);
-
-  /// Redirects all recording for `child_uq` into `parent_uq`'s journal
-  /// (scatter sub-queries explain under their parent).
-  void Alias(int child_uq, int parent_uq);
 
   /// Marks a query resolved (its journal becomes queryable) and evicts
   /// the oldest resolved journals beyond the retention cap.
@@ -170,15 +169,12 @@ class DecisionJournal {
     bool resolved = false;
   };
 
-  int ResolveAliasLocked(int uq_id) const;
   /// Events of `p` in deterministic (shard, seq) order.
   static std::vector<const DecisionEvent*> OrderedLocked(const PerUq& p);
 
   const int retained_queries_;
-  const int events_per_query_;
   mutable std::mutex mu_;
   std::unordered_map<int, PerUq> per_uq_;
-  std::unordered_map<int, int> alias_;
   std::deque<int> resolved_fifo_;
   std::deque<DecisionEvent> engine_events_;
   std::unordered_map<int, int> engine_seq_by_shard_;

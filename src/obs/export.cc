@@ -220,9 +220,6 @@ std::string RenderPrometheus(const MetricsRegistry& metrics,
        counters.epochs.load(std::memory_order_relaxed)},
       {"batches_flushed", "Batches flushed to the multi-query optimizer",
        counters.batches_flushed.load(std::memory_order_relaxed)},
-      {"cross_shard_merges",
-       "Scatter queries cross-shard rank-merged to one top-k",
-       counters.cross_shard_merges.load(std::memory_order_relaxed)},
       {"query_retries", "Queries re-submitted after a shard failure",
        counters.retries.load(std::memory_order_relaxed)},
       {"deadline_exceeded", "Queries resolved past their deadline",
@@ -238,17 +235,10 @@ std::string RenderPrometheus(const MetricsRegistry& metrics,
 
   // -- routing-decision counters, one series per shard --
   AppendHeader(&out, "route_local_total", "counter",
-               "Queries routed whole to the shard");
+               "Queries routed to the shard");
   for (size_t s = 0; s < shard_routes.size(); ++s) {
     AppendSampleInt(&out, "route_local", "_total",
                     ShardLabel(static_cast<int>(s)), shard_routes[s].local);
-  }
-  AppendHeader(&out, "route_scatter_total", "counter",
-               "Queries scattered across shards, attributed to the shard");
-  for (size_t s = 0; s < shard_routes.size(); ++s) {
-    AppendSampleInt(&out, "route_scatter", "_total",
-                    ShardLabel(static_cast<int>(s)),
-                    shard_routes[s].scatter);
   }
 
   // -- spill-tier gauges, one series per shard --
@@ -305,9 +295,6 @@ std::string RenderCountersText(const ServiceCounters& counters,
   AppendInt(&out, counters.epochs.load(std::memory_order_relaxed));
   out += " batches_flushed=";
   AppendInt(&out, counters.batches_flushed.load(std::memory_order_relaxed));
-  out += " cross_shard_merges=";
-  AppendInt(&out,
-            counters.cross_shard_merges.load(std::memory_order_relaxed));
   out += " retries=";
   AppendInt(&out, counters.retries.load(std::memory_order_relaxed));
   out += " deadline_exceeded=";
@@ -317,22 +304,15 @@ std::string RenderCountersText(const ServiceCounters& counters,
   AppendInt(&out, counters.shard_restarts.load(std::memory_order_relaxed));
   out += '\n';
 
-  RouteStats route_total;
-  for (const RouteStats& r : shard_routes) {
-    route_total.local += r.local;
-    route_total.scatter += r.scatter;
-  }
+  int64_t routed = 0;
+  for (const RouteStats& r : shard_routes) routed += r.local;
   out += "routes: local=";
-  AppendInt(&out, route_total.local);
-  out += " scatter=";
-  AppendInt(&out, route_total.scatter);
+  AppendInt(&out, routed);
   out += '\n';
   if (shard_routes.size() > 1) {
     for (size_t s = 0; s < shard_routes.size(); ++s) {
       out += "routes[shard" + std::to_string(s) + "]: local=";
       AppendInt(&out, shard_routes[s].local);
-      out += " scatter=";
-      AppendInt(&out, shard_routes[s].scatter);
       out += '\n';
     }
   }

@@ -102,8 +102,8 @@ class MetricsRegistry {
 
   int num_shards() const { return num_shards_; }
 
-  /// Records one observation. A shard outside [0, num_shards) (e.g. -1
-  /// for service-level scatter parents) attributes to shard 0.
+  /// Records one observation. A shard outside [0, num_shards) (e.g. a
+  /// query awaiting retry, pinned to no shard) attributes to shard 0.
   void Record(ServiceMetric metric, int shard, int64_t value_us);
 
   /// One shard's distribution.

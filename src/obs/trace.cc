@@ -27,7 +27,6 @@ const char* TraceEventTypeName(TraceEventType type) {
     case TraceEventType::kBatchWait: return "batch_wait";
     case TraceEventType::kComplete: return "complete";
     case TraceEventType::kResolve: return "resolve";
-    case TraceEventType::kCrossShardMerge: return "cross_shard_merge";
     case TraceEventType::kFlush: return "flush";
     case TraceEventType::kOptimize: return "optimize";
     case TraceEventType::kGraft: return "graft";

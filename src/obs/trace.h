@@ -46,7 +46,6 @@ enum class TraceEventType : uint8_t {
   kBatchWait,        ///< span: ingest -> batch flush (the batch window)
   kComplete,         ///< instant: top-k merge completed in the engine
   kResolve,          ///< instant: ticket resolved to the client
-  kCrossShardMerge,  ///< instant: scatter sub-streams rank-merged
   // -- engine events --
   kFlush,            ///< span: one batch flush (optimize + graft)
   kOptimize,         ///< span: multi-query optimizer run

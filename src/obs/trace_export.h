@@ -2,7 +2,7 @@
 // object format understood by chrome://tracing and Perfetto.
 //
 // Mapping: pid = shard + 1 (pid 0 is the service level, so shard=-1
-// events — admission, scatter merges — get their own lane), tid = the
+// events — retry re-submissions — get their own lane), tid = the
 // recording thread's registration index, span types become "X"
 // complete events with {ts, dur}, instants become "i" with
 // thread scope. Query id, ATC and the per-type payload ride in args.

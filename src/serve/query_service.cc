@@ -14,9 +14,9 @@ using Clock = std::chrono::steady_clock;
 
 QueryService::QueryService(ServiceOptions options)
     : options_(std::move(options)),
-      router_(options_.config.num_shards, options_.config.shard_affinity),
+      router_(options_.config.num_shards),
       sessions_(options_.max_in_flight_per_session),
-      route_counters_(
+      route_local_(
           static_cast<size_t>(std::max(1, options_.config.num_shards))) {
   int n = std::max(1, options_.config.num_shards);
   metrics_ = std::make_unique<MetricsRegistry>(n);
@@ -25,8 +25,7 @@ QueryService::QueryService(ServiceOptions options)
   }
   if (options_.config.explain_journal_queries > 0) {
     journal_ = std::make_unique<DecisionJournal>(
-        options_.config.explain_journal_queries,
-        options_.config.explain_journal_events_per_query);
+        options_.config.explain_journal_queries);
   }
   shards_.reserve(n);
   for (int i = 0; i < n; ++i) {
@@ -36,8 +35,9 @@ QueryService::QueryService(ServiceOptions options)
         i, config, options_.queue_capacity, &counters_));
   }
   for (auto& shard : shards_) {
-    shard->set_completion_fn(
-        [this](const EngineShard::Completion& c) { OnShardCompletion(c); });
+    shard->set_completion_fn([this](const EngineShard::Completion& c) {
+      Resolve(c.uq_id, c.status, c.metrics, c.results);
+    });
     shard->set_finished_fn([this](int id, const Status& terminal) {
       OnShardFinished(id, terminal);
     });
@@ -118,22 +118,11 @@ Status QueryService::Start() {
   for (int i = 1; i < num_shards(); ++i) {
     QSYS_RETURN_IF_ERROR(shards_[i]->ServeDataset(data));
   }
-  // Table-affinity routing probes the shared inverted index, which is
-  // immutable once finalized and therefore safe to read from any
-  // submitting thread.
-  router_.set_footprint_fn([data](const std::string& term) {
-    std::vector<TableId> tables;
-    for (const KeywordMatch& m : data->inverted_index->Lookup(term)) {
-      tables.push_back(m.table);
-    }
-    return tables;
-  });
   start_wall_ = Clock::now();
   // Trace timestamps and UserQuery submit times share one zero point.
   if (tracer_ != nullptr) tracer_->set_time_zero(start_wall_);
   SupervisorPolicy policy;
   policy.stall_timeout_us = options_.stall_timeout_ms * 1000;
-  policy.restart_crashed = options_.restart_crashed_shards;
   policy.max_restarts_per_shard = options_.max_restarts_per_shard;
   supervisor_ = std::make_unique<ShardSupervisor>(num_shards(), policy);
   started_ = true;
@@ -196,6 +185,15 @@ bool QueryService::ShardHealthy(int shard) const {
   return true;
 }
 
+int QueryService::RouteToHealthy(const std::string& keywords) const {
+  const int home = router_.Route(keywords);
+  for (int off = 0; off < num_shards(); ++off) {
+    const int s = (home + off) % num_shards();
+    if (ShardHealthy(s)) return s;
+  }
+  return -1;
+}
+
 Result<QueryTicket> QueryService::Submit(SessionId session,
                                          const std::string& keywords,
                                          const CandidateGenOptions& options,
@@ -212,57 +210,11 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
       deadline_ms < 0 ? options_.default_deadline_ms : deadline_ms;
   const VirtualTime deadline_us = ms > 0 ? NowUs() + ms * 1000 : -1;
 
-  if (options_.config.shard_affinity == ShardAffinity::kScatterCqs &&
-      num_shards() > 1) {
-    const int parent_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
-    std::shared_future<QueryOutcome> future = RegisterInFlight(
-        parent_id, session, keywords, /*shard=*/-1, options, deadline_us);
-    counters_.submitted.fetch_add(1, std::memory_order_relaxed);
-    if (tracer_ != nullptr) {
-      tracer_->Instant(TraceEventType::kAdmit, /*shard=*/-1, parent_id);
-    }
-    const int refused = Scatter(parent_id, session, keywords, options,
-                                options_.block_when_full);
-    if (refused < 0) {
-      route_counters_[router_.Route(keywords)].scatter.fetch_add(
-          1, std::memory_order_relaxed);
-      return QueryTicket(parent_id, std::move(future));
-    }
-    // Backpressure (the scatter targets only healthy shards): undo the
-    // scatter (subs already pushed will complete into a void; their
-    // work is wasted but harmless) and reject the submit.
-    AbortScatter(parent_id);
-    bool still_inflight;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      still_inflight = inflight_.erase(parent_id) > 0;
-    }
-    if (!still_inflight) {
-      // Shutdown raced and resolved the parent ticket already.
-      return QueryTicket(parent_id, std::move(future));
-    }
-    sessions_.OnRejected(session);
-    counters_.submitted.fetch_sub(1, std::memory_order_relaxed);
-    counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-    if (tracer_ != nullptr) {
-      tracer_->Instant(TraceEventType::kReject, /*shard=*/-1, parent_id);
-    }
-    return Status::ResourceExhausted(
-        "submit queue full or service shutting down");
-  }
-
-  int shard = router_.Route(keywords);
   // Every shard serves the same dataset, so route new traffic around a
-  // failed shard instead of bouncing off its closed queue.
-  if (!ShardHealthy(shard)) {
-    for (int off = 1; off < num_shards(); ++off) {
-      const int s = (shard + off) % num_shards();
-      if (ShardHealthy(s)) {
-        shard = s;
-        break;
-      }
-    }
-  }
+  // failed home shard instead of bouncing off its closed queue. With no
+  // healthy shard the push below fails and the query fails over.
+  int shard = RouteToHealthy(keywords);
+  if (shard < 0) shard = router_.Route(keywords);
 
   ShardRequest request;
   request.uq_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
@@ -287,9 +239,7 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
   std::shared_future<QueryOutcome> future = RegisterInFlight(
       uq_id, session, keywords, shard, options, deadline_us);
 
-  bool pushed = options_.block_when_full
-                    ? shards_[shard]->SubmitBlocking(std::move(request))
-                    : shards_[shard]->TrySubmit(std::move(request));
+  const bool pushed = shards_[shard]->TrySubmit(std::move(request));
   if (!pushed && !stopped_ && !ShardHealthy(shard)) {
     // The push bounced off a dead shard, not backpressure: accept the
     // query and hand it to the fault-tolerance layer (retry elsewhere
@@ -322,151 +272,9 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
         "submit queue full or service shutting down");
   }
   counters_.submitted.fetch_add(1, std::memory_order_relaxed);
-  route_counters_[shard].local.fetch_add(1, std::memory_order_relaxed);
+  route_local_[shard].fetch_add(1, std::memory_order_relaxed);
   record_admit();
   return QueryTicket(uq_id, std::move(future));
-}
-
-int QueryService::Scatter(int uq_id, SessionId session,
-                          const std::string& keywords,
-                          const CandidateGenOptions& options, bool block) {
-  // Generation reads only the shared, immutable dataset, so it runs on
-  // the calling thread through any shard's engine.
-  Result<UserQuery> gen =
-      shards_[0]->engine().GenerateCandidates(keywords, options);
-  if (!gen.ok()) {
-    Resolve(uq_id, gen.status(), nullptr, nullptr);
-    return -1;
-  }
-  std::vector<int> targets;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (ShardHealthy(s)) targets.push_back(s);
-  }
-  if (targets.empty()) {
-    Resolve(uq_id, Status::Unavailable("no healthy shard to scatter to"),
-            nullptr, nullptr);
-    return -1;
-  }
-  UserQuery uq = std::move(gen).value();
-  std::vector<std::vector<ConjunctiveQuery>> parts(targets.size());
-  for (size_t i = 0; i < uq.cqs.size(); ++i) {
-    parts[i % targets.size()].push_back(std::move(uq.cqs[i]));
-  }
-
-  ScatterState state;
-  std::vector<std::pair<int, ShardRequest>> to_push;
-  for (size_t t = 0; t < targets.size(); ++t) {
-    if (parts[t].empty()) continue;
-    const int sub_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
-    auto sub = std::make_unique<UserQuery>();
-    sub->id = sub_id;
-    sub->user_id = session;
-    sub->k = uq.k;
-    sub->keywords = uq.keywords;
-    sub->cqs = std::move(parts[t]);
-    ShardRequest request;
-    request.uq_id = sub_id;
-    request.user_id = session;
-    request.prepared = std::move(sub);
-    request.submit_us = NowUs();
-    to_push.emplace_back(targets[t], std::move(request));
-    state.pending += 1;
-    state.sub_shards.push_back(targets[t]);
-  }
-  {
-    std::lock_guard<std::mutex> lock(scatter_mu_);
-    for (const auto& [s, request] : to_push) {
-      scatter_sub_parent_[request.uq_id] = uq_id;
-      // Sub-queries journal (and Explain) under their parent.
-      if (journal_ != nullptr) journal_->Alias(request.uq_id, uq_id);
-    }
-    scatter_.emplace(uq_id, std::move(state));
-  }
-  for (auto& [s, request] : to_push) {
-    const bool pushed = block ? shards_[s]->SubmitBlocking(std::move(request))
-                              : shards_[s]->TrySubmit(std::move(request));
-    if (!pushed) return s;
-  }
-  return -1;
-}
-
-void QueryService::OnShardCompletion(const EngineShard::Completion& c) {
-  int parent = -1;
-  {
-    std::lock_guard<std::mutex> lock(scatter_mu_);
-    auto it = scatter_sub_parent_.find(c.uq_id);
-    if (it != scatter_sub_parent_.end()) parent = it->second;
-  }
-  if (parent >= 0) {
-    OnScatterSub(parent, c);
-    return;
-  }
-  Resolve(c.uq_id, c.status, c.metrics, c.results);
-}
-
-void QueryService::OnScatterSub(int parent_id,
-                                const EngineShard::Completion& c) {
-  bool done = false;
-  Status error;
-  UserQueryMetrics metrics;
-  std::vector<std::vector<ResultTuple>> streams;
-  {
-    std::lock_guard<std::mutex> lock(scatter_mu_);
-    scatter_sub_parent_.erase(c.uq_id);
-    auto it = scatter_.find(parent_id);
-    if (it == scatter_.end()) return;  // aborted or raced a shutdown
-    ScatterState& state = it->second;
-    // This shard's sub is no longer outstanding: a later failure of the
-    // shard must not fail the parent on its account.
-    state.sub_shards.erase(std::remove(state.sub_shards.begin(),
-                                       state.sub_shards.end(), c.shard),
-                           state.sub_shards.end());
-    if (c.status.ok()) {
-      if (c.results != nullptr) state.streams[c.shard] = *c.results;
-      if (c.metrics != nullptr) {
-        const UserQueryMetrics& m = *c.metrics;
-        if (!state.metrics_init) {
-          state.metrics = m;
-          state.metrics.uq_id = parent_id;
-          state.metrics_init = true;
-        } else {
-          UserQueryMetrics& agg = state.metrics;
-          agg.submit_time_us = std::min(agg.submit_time_us, m.submit_time_us);
-          agg.start_time_us = std::min(agg.start_time_us, m.start_time_us);
-          agg.complete_time_us =
-              std::max(agg.complete_time_us, m.complete_time_us);
-          agg.cqs_executed += m.cqs_executed;
-          agg.cqs_total += m.cqs_total;
-          agg.tuples_from_shared += m.tuples_from_shared;
-          agg.est_saved_us += m.est_saved_us;
-        }
-      }
-    } else if (state.error.ok()) {
-      state.error = c.status;
-    }
-    if (--state.pending > 0) return;
-    done = true;
-    error = state.error;
-    metrics = state.metrics;
-    for (auto& [shard, stream] : state.streams) {
-      streams.push_back(std::move(stream));
-    }
-    scatter_.erase(it);
-  }
-  if (!done) return;
-  if (!error.ok()) {
-    Resolve(parent_id, error, nullptr, nullptr);
-    return;
-  }
-  std::vector<ResultTuple> merged =
-      RankMerger::Merge(streams, options_.config.k);
-  metrics.results = static_cast<int>(merged.size());
-  counters_.cross_shard_merges.fetch_add(1, std::memory_order_relaxed);
-  if (tracer_ != nullptr) {
-    tracer_->Instant(TraceEventType::kCrossShardMerge, /*shard=*/-1,
-                     parent_id, -1, static_cast<int64_t>(streams.size()));
-  }
-  Resolve(parent_id, Status::OK(), &metrics, &merged);
 }
 
 void QueryService::Resolve(int uq_id, Status status,
@@ -491,9 +299,6 @@ void QueryService::Resolve(int uq_id, Status status,
   if (metrics != nullptr) outcome.metrics = *metrics;
   if (outcome.status.ok()) {
     if (results != nullptr) outcome.results = *results;
-    // One canonical ranking no matter which shard (or how many shards)
-    // produced it — see RankMerger.
-    RankMerger::Canonicalize(outcome.results, options_.config.k);
     counters_.completed.fetch_add(1, std::memory_order_relaxed);
   } else if (outcome.status.code() == StatusCode::kCancelled) {
     counters_.cancelled.fetch_add(1, std::memory_order_relaxed);
@@ -506,11 +311,8 @@ void QueryService::Resolve(int uq_id, Status status,
     counters_.failed.fetch_add(1, std::memory_order_relaxed);
   }
   if (outcome.status.ok() && entry.submit_us >= 0) {
-    // End-to-end: submit-queue entry to ticket resolution. Scatter
-    // parents (shard == -1) account to shard 0's histogram; the
-    // aggregate view is unaffected.
-    metrics_->Record(ServiceMetric::kEndToEndLatency,
-                     entry.shard >= 0 ? entry.shard : 0,
+    // End-to-end: submit-queue entry to ticket resolution.
+    metrics_->Record(ServiceMetric::kEndToEndLatency, entry.shard,
                      std::max<int64_t>(0, NowUs() - entry.submit_us));
   }
   if (tracer_ != nullptr) {
@@ -530,11 +332,6 @@ void QueryService::Resolve(int uq_id, Status status,
 }
 
 void QueryService::ResolveAllRemaining(const Status& status) {
-  {
-    std::lock_guard<std::mutex> lock(scatter_mu_);
-    scatter_.clear();
-    scatter_sub_parent_.clear();
-  }
   std::vector<int> ids;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -548,52 +345,56 @@ void QueryService::ResolveAllRemaining(const Status& status) {
 void QueryService::OnShardFinished(int shard, const Status& terminal) {
   if (terminal.ok()) return;
   if (stopped_) return;  // Shutdown resolves leftovers itself
-  // The shard died mid-serve: fail over every query pinned to it —
-  // routed queries on that shard and scatter parents with a sub there
-  // — so no client blocks forever while the other shards keep serving.
+  // The shard died mid-serve: fail over every query pinned to it, so
+  // no client blocks forever while the other shards keep serving.
   // The supervisor reaches the same verdict on its next pass; both
   // paths are idempotent (kAwaitingRetry guard in FailOverOne).
   HandleShardFailure(shard, terminal);
+}
+
+std::vector<char> QueryService::PinnedShards() {
+  std::vector<char> pinned(shards_.size(), 0);
+  std::lock_guard<std::mutex> lock(inflight_mu_);
+  for (const auto& [uq_id, entry] : inflight_) {
+    if (entry.shard >= 0 && entry.shard < num_shards()) {
+      pinned[entry.shard] = 1;
+    }
+  }
+  return pinned;
 }
 
 void QueryService::SuperviseOnce() {
   if (supervisor_ == nullptr) return;
   const VirtualTime now = NowUs();
   ExpireDeadlines(now);
-  std::vector<char> pending(shards_.size(), 0);
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    for (const auto& [uq_id, entry] : inflight_) {
-      if (entry.shard >= 0 && entry.shard < num_shards()) {
-        pending[entry.shard] = 1;
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(scatter_mu_);
-    for (const auto& [parent_id, state] : scatter_) {
-      for (int s : state.sub_shards) pending[s] = 1;
-    }
-  }
+  const std::vector<char> pending = PinnedShards();
   for (int i = 0; i < num_shards(); ++i) {
-    ShardSupervisor::Observation obs;
-    obs.heartbeat = shards_[i]->heartbeat();
-    obs.executor_finished = shards_[i]->executor_finished();
-    const Status terminal = shards_[i]->terminal_status();
-    obs.terminal_failed = !terminal.ok();
-    obs.has_pending = pending[static_cast<size_t>(i)] != 0;
-    const ShardSupervisor::Verdict v = supervisor_->Observe(i, obs, now);
-    if (v.newly_failed) {
-      shards_[i]->MarkDown();
-      HandleShardFailure(
-          i, !terminal.ok()
-                 ? terminal
-                 : Status::Unavailable("shard " + std::to_string(i) +
-                                       " stalled (heartbeat frozen)"));
+    if (ObserveShard(i, pending[static_cast<size_t>(i)] != 0, now)
+            .should_restart) {
+      TryRestartShard(i);
     }
-    if (v.should_restart) TryRestartShard(i);
   }
   ProcessDueRetries(now);
+}
+
+ShardSupervisor::Verdict QueryService::ObserveShard(int shard, bool pinned,
+                                                    VirtualTime now_us) {
+  ShardSupervisor::Observation obs;
+  obs.heartbeat = shards_[shard]->heartbeat();
+  obs.executor_finished = shards_[shard]->executor_finished();
+  const Status terminal = shards_[shard]->terminal_status();
+  obs.terminal_failed = !terminal.ok();
+  obs.has_pending = pinned;
+  const ShardSupervisor::Verdict v = supervisor_->Observe(shard, obs, now_us);
+  if (v.newly_failed) {
+    shards_[shard]->MarkDown();
+    HandleShardFailure(
+        shard, !terminal.ok()
+                   ? terminal
+                   : Status::Unavailable("shard " + std::to_string(shard) +
+                                         " stalled (heartbeat frozen)"));
+  }
+  return v;
 }
 
 void QueryService::ExpireDeadlines(VirtualTime now_us) {
@@ -610,7 +411,6 @@ void QueryService::ExpireDeadlines(VirtualTime now_us) {
   for (int uq_id : expired) {
     // Best-effort cancellation: shard-side work may still complete and
     // will be discarded by Resolve's already-resolved guard.
-    AbortScatter(uq_id);
     Resolve(uq_id, Status::DeadlineExceeded("query deadline exceeded"),
             nullptr, nullptr);
   }
@@ -618,15 +418,6 @@ void QueryService::ExpireDeadlines(VirtualTime now_us) {
 
 void QueryService::HandleShardFailure(int shard, const Status& cause) {
   std::vector<int> ids;
-  {
-    std::lock_guard<std::mutex> lock(scatter_mu_);
-    for (const auto& [parent_id, state] : scatter_) {
-      if (std::find(state.sub_shards.begin(), state.sub_shards.end(),
-                    shard) != state.sub_shards.end()) {
-        ids.push_back(parent_id);
-      }
-    }
-  }
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     for (const auto& [uq_id, entry] : inflight_) {
@@ -637,23 +428,7 @@ void QueryService::HandleShardFailure(int shard, const Status& cause) {
   for (int uq_id : ids) FailOverOne(uq_id, cause);
 }
 
-void QueryService::AbortScatter(int uq_id) {
-  std::lock_guard<std::mutex> lock(scatter_mu_);
-  auto it = scatter_.find(uq_id);
-  if (it == scatter_.end()) return;
-  for (auto sit = scatter_sub_parent_.begin();
-       sit != scatter_sub_parent_.end();) {
-    if (sit->second == uq_id) {
-      sit = scatter_sub_parent_.erase(sit);
-    } else {
-      ++sit;
-    }
-  }
-  scatter_.erase(it);
-}
-
 void QueryService::FailOverOne(int uq_id, const Status& cause) {
-  AbortScatter(uq_id);
   bool any_healthy = false;
   for (int s = 0; s < num_shards(); ++s) {
     if (ShardHealthy(s)) {
@@ -745,36 +520,7 @@ void QueryService::ProcessDueRetries(VirtualTime now_us) {
     if (tracer_ != nullptr) {
       tracer_->Instant(TraceEventType::kRetry, /*shard=*/-1, uq_id);
     }
-    if (options_.config.shard_affinity == ShardAffinity::kScatterCqs &&
-        num_shards() > 1) {
-      {
-        std::lock_guard<std::mutex> lock(inflight_mu_);
-        auto it = inflight_.find(uq_id);
-        if (it == inflight_.end()) continue;
-        it->second.shard = -1;  // scatter parent again
-      }
-      const int refused =
-          Scatter(uq_id, session, keywords, gen_options, /*block=*/false);
-      if (refused >= 0) {
-        // The target died between the health check and the push; fail
-        // over again (bounded by max_retries).
-        FailOverOne(uq_id,
-                    Status::Unavailable("re-scatter refused by shard " +
-                                        std::to_string(refused)));
-      }
-      continue;
-    }
-    // Routed query: re-route to the first healthy shard at or after its
-    // home shard.
-    int target = -1;
-    const int base = router_.Route(keywords);
-    for (int off = 0; off < num_shards(); ++off) {
-      const int s = (base + off) % num_shards();
-      if (ShardHealthy(s)) {
-        target = s;
-        break;
-      }
-    }
+    const int target = RouteToHealthy(keywords);
     if (target < 0) {
       Resolve(uq_id, Status::Unavailable("no healthy shard for retry"),
               nullptr, nullptr);
@@ -849,8 +595,6 @@ Status QueryService::Shutdown(ShutdownMode mode) {
     Status force_fail;  // non-OK after a timed-out bounded drain
     if (options_.manual_pump) {
       for (auto& shard : shards_) shard->FinishServing();
-    } else if (options_.shutdown_wait_ms <= 0) {
-      for (auto& shard : shards_) shard->Join();
     } else {
       // Bounded drain: one budget across all shards — a wedged
       // executor must not hang the shutdown (or the destructor).
@@ -893,8 +637,22 @@ Status QueryService::Shutdown(ShutdownMode mode) {
       }
     }
     AggregateSpillGauges();
-    // A shard the supervisor already took down surfaced its failure
-    // through the failed-over query outcomes; only an *unhandled*
+    // Supervision has stopped, so the supervisor never saw a shard
+    // that failed during the final drain. If no in-flight query is
+    // pinned to it the failure stranded nothing: run one supervision
+    // step for it, which records the failure and takes the shard down,
+    // and make no restart. A failure that strands queries resolves
+    // them below.
+    const std::vector<char> pinned = PinnedShards();
+    const VirtualTime now = NowUs();
+    for (int i = 0; i < num_shards(); ++i) {
+      if (pinned[static_cast<size_t>(i)] == 0 && !shards_[i]->down() &&
+          !shards_[i]->terminal_status().ok()) {
+        ObserveShard(i, /*pinned=*/false, now);
+      }
+    }
+    // A shard taken down surfaced its failure through the failed-over
+    // query outcomes and the supervisor's record; only an *unhandled*
     // terminal failure poisons the shutdown status.
     Status terminal;
     for (auto& shard : shards_) {

@@ -26,14 +26,16 @@
 //   const QueryOutcome& out = ticket.Wait();   // ranked ResultTuples
 //   QSYS_RETURN_IF_ERROR(service.Shutdown());
 //
-// Routing (src/shard/shard_router.h) is stable — the same logical
-// query always lands on the shard holding its reusable state — and the
-// ATC-CL-style table-affinity policy co-locates queries over shared hot
-// relations. ShardAffinity::kScatterCqs instead splits one query's CQs
-// across every healthy shard and cross-shard rank-merges the per-shard
-// top-k streams (src/shard/rank_merger.h). Every outcome is
-// canonicalized through RankMerger's deterministic total order, so
-// per-UQ results are byte-equivalent across shard counts.
+// Submit has one path: route the query by its canonical signature
+// (src/shard/shard_router.h), push it onto that shard's queue without
+// blocking, and on a shard failure retry it by routing again, to the
+// first healthy shard at or after its home shard. Routing is stable —
+// the same logical query always lands on the shard holding its
+// reusable state — and a query is never split, so all of its
+// conjunctive queries share work in one plan graph. Each shard's
+// rank-merge already orders the answers under the canonical total
+// order (ResultTupleOrder, src/exec/rank_merge_op.h), so per-UQ results
+// are byte-equivalent across shard counts.
 //
 // Threading model: every external touch of an Engine is serialized
 // behind its shard's engine lock, and no lock is shared between two
@@ -71,7 +73,6 @@
 #include "src/serve/result_sink.h"
 #include "src/serve/session.h"
 #include "src/serve/supervisor.h"
-#include "src/shard/rank_merger.h"
 #include "src/shard/shard.h"
 #include "src/shard/shard_router.h"
 
@@ -80,15 +81,12 @@ namespace qsys {
 /// \brief Configuration of one QueryService instance.
 struct ServiceOptions {
   /// Engine configuration (sharing mode, batch size/window, k, ...),
-  /// replicated to every shard, plus the sharding knobs themselves
-  /// (num_shards, shard_affinity). The batch window is interpreted in
-  /// wall-clock microseconds.
+  /// replicated to every shard, plus the shard count (num_shards). The
+  /// batch window is interpreted in wall-clock microseconds.
   QConfig config;
-  /// Per-shard submit-queue bound (admission backpressure).
+  /// Per-shard submit-queue bound (admission backpressure: a submit to
+  /// a full queue is rejected with kResourceExhausted).
   size_t queue_capacity = 1024;
-  /// Full-queue policy: false = reject the submit (kResourceExhausted),
-  /// true = block the producer until the executor drains.
-  bool block_when_full = false;
   /// Per-session in-flight query cap (0 = uncapped).
   int max_in_flight_per_session = 64;
   /// Test hook: do not spawn executor threads; the test drives the
@@ -114,13 +112,12 @@ struct ServiceOptions {
   /// Declare a shard stalled after this long with pending work and a
   /// frozen heartbeat; 0 disables stall detection.
   int64_t stall_timeout_ms = 1000;
-  /// Restart a crashed shard with a fresh engine over the shared
-  /// dataset.
-  bool restart_crashed_shards = true;
+  /// Restarts of a crashed shard, each a fresh engine over the shared
+  /// dataset (0 = never restart).
   int max_restarts_per_shard = 1;
   /// Bounded drain: Shutdown(kDrain) waits at most this long for the
   /// shard executors before force-failing the remaining in-flight
-  /// queries kUnavailable; 0 = wait forever (the historical behavior).
+  /// queries kUnavailable; 0 = do not wait.
   int64_t shutdown_wait_ms = 30'000;
 };
 
@@ -179,12 +176,12 @@ class QueryService {
   Status CloseSession(SessionId session);
 
   /// Submits one keyword query on the caller's session. The router
-  /// picks the executing shard (or, under kScatterCqs, splits the
-  /// query's CQs across all shards). On success the returned ticket's
-  /// future resolves when the shared execution completes the query's
-  /// top-k (or its candidate generation fails). Fails with
-  /// kResourceExhausted under backpressure (full shard queue or session
-  /// cap) and kFailedPrecondition when not serving.
+  /// picks the executing shard by the query's canonical signature. On
+  /// success the returned ticket's future resolves when the shared
+  /// execution completes the query's top-k (or its candidate generation
+  /// fails). Fails with kResourceExhausted under backpressure (full
+  /// shard queue or session cap) and kFailedPrecondition when not
+  /// serving.
   Result<QueryTicket> Submit(SessionId session, const std::string& keywords);
   Result<QueryTicket> Submit(SessionId session, const std::string& keywords,
                              const CandidateGenOptions& options);
@@ -222,16 +219,14 @@ class QueryService {
   /// One shard's epoch count (service-wide total: counters().epochs).
   int64_t shard_epochs(int i) const { return shards_[i]->epochs(); }
 
-  /// One shard's routing-decision counters: queries routed whole to it
-  /// vs. scattered queries attributed to it.
+  /// One shard's routing-decision counters: queries routed to it.
   RouteStats shard_routes(int i) const {
     RouteStats r;
-    r.local = route_counters_[i].local.load(std::memory_order_relaxed);
-    r.scatter = route_counters_[i].scatter.load(std::memory_order_relaxed);
+    r.local = route_local_[i].load(std::memory_order_relaxed);
     return r;
   }
 
-  /// The routing policy in force.
+  /// The query router.
   const ShardRouter& router() const { return router_; }
 
   /// The session registry (per-session stats, defaults).
@@ -290,10 +285,8 @@ class QueryService {
   /// all shards. kFailedPrecondition when the journal is disabled.
   Result<std::string> ExplainEngine() const;
 
-  /// The shard health supervisor, or nullptr before Start() (or when
-  /// supervision is disabled: stall_timeout_ms == 0, max_retries == 0,
-  /// restart_crashed_shards == false and no deadline knobs set still
-  /// creates it — it is always present after Start()).
+  /// The shard health supervisor, or nullptr before Start() (it is
+  /// always present after Start(), whatever the fault-tolerance knobs).
   const ShardSupervisor* supervisor() const { return supervisor_.get(); }
 
   // ---- test hooks ----
@@ -323,8 +316,8 @@ class QueryService {
     std::promise<QueryOutcome> promise;
     SessionId session = -1;
     std::string keywords;
-    /// Executing shard; -1 for a scatter parent (merged across
-    /// shards), kAwaitingRetry between a failover and its re-submit.
+    /// Executing shard; kAwaitingRetry between a failover and its
+    /// re-submit.
     int shard = -1;
     /// Wall us since Start() at registration — the end-to-end latency
     /// histogram's zero point; -1 before Start().
@@ -337,43 +330,18 @@ class QueryService {
     int attempts = 0;
   };
 
-  /// Book-keeping of one in-flight scatter query: which sub-queries are
-  /// outstanding on which shards, the per-shard result streams gathered
-  /// so far, and the merged metrics. (The owning session lives in the
-  /// parent's InFlight entry.)
-  struct ScatterState {
-    int pending = 0;
-    Status error;  // first sub-query failure, if any
-    /// shard -> that shard's ranked answers (ordered map: merge input
-    /// order is deterministic).
-    std::map<int, std::vector<ResultTuple>> streams;
-    UserQueryMetrics metrics;
-    bool metrics_init = false;
-    std::vector<int> sub_shards;
-  };
-
-  /// The one scatter routine, for first submits and retries alike:
-  /// generates `uq_id`'s candidates once over the shared index, splits
-  /// its CQs round-robin over the healthy shards, registers the
-  /// sub-queries under `uq_id` and pushes them. Returns the shard that
-  /// refused a push, or -1 when every push went through or the query
-  /// already resolved (generation failure, no healthy shard).
-  int Scatter(int uq_id, SessionId session, const std::string& keywords,
-              const CandidateGenOptions& options, bool block);
   /// Registers an in-flight entry and returns its shared future.
   std::shared_future<QueryOutcome> RegisterInFlight(
       int uq_id, SessionId session, const std::string& keywords, int shard,
       const CandidateGenOptions& options, VirtualTime deadline_us);
-  /// Shard completion callback (runs on shard executor threads).
-  void OnShardCompletion(const EngineShard::Completion& c);
-  /// Folds one scatter sub-completion into its parent; resolves the
-  /// parent when the last sub arrives.
-  void OnScatterSub(int parent_id, const EngineShard::Completion& c);
+  /// The first healthy shard at or after `keywords`' home shard (every
+  /// shard serves the same dataset); -1 when no shard is healthy.
+  int RouteToHealthy(const std::string& keywords) const;
   /// Shard terminal callback: a shard that failed mid-serve fails every
   /// query pinned to it so no client blocks forever.
   void OnShardFinished(int shard, const Status& terminal);
-  /// Resolves one ticket: builds the outcome (canonicalizing `results`
-  /// through RankMerger), updates counters/sessions, notifies the sink.
+  /// Resolves one ticket: builds the outcome, updates counters/sessions,
+  /// notifies the sink. Runs on shard executor threads for completions.
   void Resolve(int uq_id, Status status, const UserQueryMetrics* metrics,
                const std::vector<ResultTuple>* results);
   /// Resolves every remaining in-flight ticket with `status`.
@@ -387,15 +355,18 @@ class QueryService {
   void SuperviseOnce();
   /// Resolves every query past its deadline with kDeadlineExceeded.
   void ExpireDeadlines(VirtualTime now_us);
-  /// Fails over every query pinned to `shard` (routed there, or a
-  /// scatter parent with an outstanding sub there) with `cause`.
+  /// Indexed by shard id: 1 where an in-flight query is pinned.
+  std::vector<char> PinnedShards();
+  /// Feeds shard `shard`'s health into the supervisor and, when the
+  /// verdict is a new failure, takes the shard down and fails its
+  /// queries over. The caller acts on `should_restart`.
+  ShardSupervisor::Verdict ObserveShard(int shard, bool pinned,
+                                        VirtualTime now_us);
+  /// Fails over every query pinned to `shard` with `cause`.
   void HandleShardFailure(int shard, const Status& cause);
   /// Retries one query (schedules it with jittered backoff) or, when
   /// its budget/deadline is spent, resolves it with `cause`.
   void FailOverOne(int uq_id, const Status& cause);
-  /// Drops scatter book-keeping for a parent (subs complete into a
-  /// void afterwards).
-  void AbortScatter(int uq_id);
   /// Re-submits every retry whose backoff has elapsed.
   void ProcessDueRetries(VirtualTime now_us);
   /// Attempts a supervisor-approved engine restart of `shard`.
@@ -415,13 +386,6 @@ class QueryService {
   std::vector<RouteStats> ShardRoutesVec() const;
   std::vector<int64_t> ShardPlanGraphOpsVec() const;
 
-  /// Per-shard routing-decision counters (relaxed atomics; incremented
-  /// on the submitting thread after a successful push).
-  struct AtomicRouteCounters {
-    std::atomic<int64_t> local{0};
-    std::atomic<int64_t> scatter{0};
-  };
-
   ServiceOptions options_;
   /// Observability sinks, shared by every shard. Declared before (and
   /// therefore destroyed after) shards_: executor threads and engines
@@ -436,17 +400,14 @@ class QueryService {
   ShardRouter router_;
   SessionManager sessions_;
   ResultSink* sink_ = nullptr;
-  /// Indexed by shard id; sized once at construction (atomics are
-  /// neither copyable nor movable — never resized).
-  std::vector<AtomicRouteCounters> route_counters_;
+  /// Queries routed to each shard (relaxed atomics, incremented on the
+  /// submitting thread after a successful push). Indexed by shard id;
+  /// sized once at construction (atomics are neither copyable nor
+  /// movable — never resized).
+  std::vector<std::atomic<int64_t>> route_local_;
 
   std::mutex inflight_mu_;
   std::unordered_map<int, InFlight> inflight_;
-
-  /// Scatter book-keeping: parent uq_id -> state, sub uq_id -> parent.
-  std::mutex scatter_mu_;
-  std::unordered_map<int, ScatterState> scatter_;
-  std::unordered_map<int, int> scatter_sub_parent_;
 
   // ---- fault tolerance ----
   /// Health state machine (created by Start()).

@@ -30,14 +30,14 @@ struct QueryOutcome {
   int session_id = -1;
   /// The original keyword text.
   std::string keywords;
-  /// Shard that executed the query; -1 when the answer was cross-shard
-  /// rank-merged (ShardAffinity::kScatterCqs).
+  /// Shard that executed the query; negative when it resolved while
+  /// awaiting a retry, pinned to no shard.
   int shard = 0;
   /// OK when `results` holds the completed top-k; a candidate-generation
   /// or cancellation status otherwise.
   Status status;
   /// Ranked answers in the canonical order (best score first, ties
-  /// broken by provenance — see src/shard/rank_merger.h), copied out of
+  /// broken by provenance — see ResultTupleOrder), copied out of
   /// the plan graph at completion time so they outlive engine eviction.
   /// The canonical order makes the ranking byte-identical across shard
   /// counts and batching timings.

@@ -5,10 +5,8 @@
 // the single consumer is one shard's executor thread, which drives its
 // Engine in shared-execution epochs (each EngineShard owns one of
 // these queues). The bound is the service's admission backpressure:
-// when the queue is full, TryPush refuses (the service then rejects
-// the query with kResourceExhausted) and Push blocks the producer
-// until the executor drains — callers pick the policy via
-// ServiceOptions::block_when_full.
+// when the queue is full, TryPush refuses and the service rejects the
+// query with kResourceExhausted. Producers never block.
 
 #ifndef QSYS_SERVE_SUBMIT_QUEUE_H_
 #define QSYS_SERVE_SUBMIT_QUEUE_H_
@@ -23,7 +21,7 @@
 
 namespace qsys {
 
-/// \brief Bounded MPSC blocking queue.
+/// \brief Bounded MPSC queue: non-blocking pushes, blocking pops.
 template <typename T>
 class SubmitQueue {
  public:
@@ -37,21 +35,6 @@ class SubmitQueue {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    consumer_cv_.notify_one();
-    return true;
-  }
-
-  /// Enqueues, blocking while the queue is full. Returns false only if
-  /// the queue is (or becomes) closed.
-  bool Push(T item) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      producer_cv_.wait(lock, [this] {
-        return closed_ || items_.size() < capacity_;
-      });
-      if (closed_) return false;
       items_.push_back(std::move(item));
     }
     consumer_cv_.notify_one();
@@ -73,26 +56,22 @@ class SubmitQueue {
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
-    producer_cv_.notify_one();
     return item;
   }
 
   /// Dequeues everything currently queued without blocking.
   std::vector<T> DrainNow() {
+    std::lock_guard<std::mutex> lock(mu_);
     std::vector<T> out;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      out.reserve(items_.size());
-      while (!items_.empty()) {
-        out.push_back(std::move(items_.front()));
-        items_.pop_front();
-      }
+    out.reserve(items_.size());
+    while (!items_.empty()) {
+      out.push_back(std::move(items_.front()));
+      items_.pop_front();
     }
-    producer_cv_.notify_all();
     return out;
   }
 
-  /// Rejects all future pushes and wakes every waiter. Items already
+  /// Rejects all future pushes and wakes the consumer. Items already
   /// queued remain poppable (the executor drains or cancels them).
   void Close() {
     {
@@ -100,18 +79,14 @@ class SubmitQueue {
       closed_ = true;
     }
     consumer_cv_.notify_all();
-    producer_cv_.notify_all();
   }
 
   /// Accepts pushes again after a Close() — used when a supervisor
   /// restarts a crashed shard engine behind an already-drained queue.
   /// The caller must guarantee no consumer is mid-shutdown on it.
   void Reopen() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = false;
-    }
-    producer_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = false;
   }
 
   bool closed() const {
@@ -130,7 +105,6 @@ class SubmitQueue {
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable consumer_cv_;
-  std::condition_variable producer_cv_;
   std::deque<T> items_;
   bool closed_ = false;
 };

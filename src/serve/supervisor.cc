@@ -42,8 +42,7 @@ ShardSupervisor::Verdict ShardSupervisor::Observe(int shard,
       break;
     }
     case ShardState::kCrashed: {
-      if (policy_.restart_crashed &&
-          h.restarts < policy_.max_restarts_per_shard) {
+      if (h.restarts < policy_.max_restarts_per_shard) {
         if (obs.executor_finished) {
           h.state = ShardState::kRestarting;
           v.should_restart = true;

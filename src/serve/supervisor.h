@@ -43,9 +43,8 @@ struct SupervisorPolicy {
   /// Declare a shard stalled after this long with pending work and a
   /// frozen heartbeat. 0 disables stall detection.
   int64_t stall_timeout_us = 0;
-  /// Attempt to restart crashed shard engines.
-  bool restart_crashed = true;
-  /// Restart budget per shard; beyond it a crashed shard goes kDown.
+  /// Restart budget per shard; beyond it a crashed shard goes kDown
+  /// (0 = never restart).
   int max_restarts_per_shard = 1;
 };
 
@@ -65,10 +64,9 @@ class ShardSupervisor {
     int64_t heartbeat = 0;
     bool executor_finished = false;
     bool terminal_failed = false;
-    /// Any in-flight query pinned to the shard (routed there, or a
-    /// scatter parent with an outstanding sub there). Stall detection
-    /// only fires with pending work: an idle shard's frozen heartbeat
-    /// is just idleness.
+    /// Any in-flight query pinned to the shard. Stall detection only
+    /// fires with pending work: an idle shard's frozen heartbeat is
+    /// just idleness.
     bool has_pending = false;
   };
 

@@ -52,7 +52,6 @@ Status EngineShard::Start(Clock::time_point start_wall, bool manual) {
   engine_->set_completed_sink([this](Engine::CompletedQuery&& done) {
     if (!completion_fn_) return;
     Completion c;
-    c.shard = shard_id_;
     c.uq_id = done.metrics.uq_id;
     c.metrics = &done.metrics;
     c.results = &done.results;
@@ -132,11 +131,6 @@ bool EngineShard::TrySubmit(ShardRequest request) {
   return queue_.TryPush(std::move(request));
 }
 
-bool EngineShard::SubmitBlocking(ShardRequest request) {
-  if (down()) return false;
-  return queue_.Push(std::move(request));
-}
-
 void EngineShard::RequestStop(bool cancel_pending) {
   if (cancel_pending) cancel_pending_ = true;
   queue_.Close();
@@ -159,8 +153,11 @@ void EngineShard::SetTerminal(const Status& status) {
 void EngineShard::IngestRequests(std::vector<ShardRequest> requests) {
   if (requests.empty()) return;
   std::lock_guard<std::mutex> lock(engine_mu_);
-  VirtualTime now = NowUs();
   for (ShardRequest& r : requests) {
+    // Each request arrives when its own ingest starts, not when the
+    // first one's did: candidate generation for the requests ahead of
+    // it is queue wait too, and must not eat into its batch window.
+    const VirtualTime now = NowUs();
     if (r.submit_us >= 0) {
       // Queue wait: submit-queue entry (stamped by the service) to this
       // ingest, both on the service's wall-since-start timeline.
@@ -174,15 +171,11 @@ void EngineShard::IngestRequests(std::vector<ShardRequest> requests) {
       }
     }
     Status admitted =
-        r.prepared != nullptr
-            ? engine_->IngestPrepared(std::move(*r.prepared), now)
-            : engine_->Ingest(r.uq_id, r.keywords, r.user_id, now,
-                              r.options);
+        engine_->Ingest(r.uq_id, r.keywords, r.user_id, now, r.options);
     if (!admitted.ok() && completion_fn_) {
       // Candidate generation failed: the query resolves immediately;
       // everyone else keeps being served.
       Completion c;
-      c.shard = shard_id_;
       c.uq_id = r.uq_id;
       c.status = admitted;
       completion_fn_(c);

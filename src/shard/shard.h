@@ -12,7 +12,7 @@
 // one thing shards share: every shard's engine reads the same
 // finalized, immutable Dataset.
 //
-// Threading model: client threads call TrySubmit()/SubmitBlocking();
+// Threading model: client threads call TrySubmit();
 // the executor thread (or the service's PumpOnce() in manual mode) is
 // the only *driver* of the Engine, always under engine_mu_. Within an
 // epoch the executor acts as coordinator: Engine::Drain fans
@@ -42,22 +42,16 @@
 
 namespace qsys {
 
-/// \brief One routed unit of work for a shard: either a raw keyword
-/// query (the shard generates candidates at ingest) or an
-/// already-generated sub-query (the scatter path splits one UserQuery's
-/// CQs across shards and pre-assigns ids).
+/// \brief One routed keyword query for a shard; the shard generates
+/// its candidates at ingest.
 struct ShardRequest {
-  /// Service-global user-query id (also the sub-query id for scatter).
+  /// Service-global user-query id.
   int uq_id = -1;
   /// Submitting session (becomes UserQuery::user_id).
   int user_id = -1;
-  /// Keyword text; ignored when `prepared` is set.
   std::string keywords;
   /// Per-session candidate-generation defaults.
   CandidateGenOptions options;
-  /// Non-null: an already-generated user query (id/user_id set by the
-  /// service) to admit via Engine::IngestPrepared().
-  std::unique_ptr<UserQuery> prepared;
   /// Service virtual time (wall us since Start()) the request entered
   /// the submit queue; -1 when unknown. Basis of the queue-wait span
   /// and histogram.
@@ -69,9 +63,7 @@ class EngineShard {
  public:
   /// \brief What a shard reports when one user query resolves.
   struct Completion {
-    /// Reporting shard.
-    int shard = 0;
-    /// The resolved user-query id (a scatter sub-id for sub-queries).
+    /// The resolved user-query id.
     int uq_id = -1;
     /// OK on normal completion; the generation error otherwise.
     Status status;
@@ -146,10 +138,9 @@ class EngineShard {
   /// drives the shard with PumpOnce()).
   Status Start(std::chrono::steady_clock::time_point start_wall, bool manual);
 
-  /// Enqueues without blocking; false when the queue is full or closed.
+  /// Enqueues without blocking; false when the queue is full or closed,
+  /// or the shard is down.
   bool TrySubmit(ShardRequest request);
-  /// Enqueues, blocking while full; false only when closed.
-  bool SubmitBlocking(ShardRequest request);
 
   /// Begins shutdown: refuses new submits; `cancel_pending` additionally
   /// skips executing whatever has not been grafted yet.
@@ -190,8 +181,8 @@ class EngineShard {
   /// the caller.
   bool FinishedWithin(int64_t wait_ms);
 
-  /// Supervisor verdict: a down shard refuses submits (TrySubmit /
-  /// SubmitBlocking return false) and discards rather than drains its
+  /// Supervisor verdict: a down shard refuses submits (TrySubmit
+  /// returns false) and discards rather than drains its
   /// queue leftovers, so a late revival cannot double-execute queries
   /// the service already retried elsewhere.
   bool down() const { return down_.load(std::memory_order_relaxed); }
@@ -238,7 +229,8 @@ class EngineShard {
 
  private:
   void ExecutorLoop();
-  /// Ingests requests into the batcher at the current virtual time.
+  /// Ingests requests into the batcher in order, each at the virtual
+  /// time its own ingest starts.
   void IngestRequests(std::vector<ShardRequest> requests);
   /// Flushes every due batch and drains all ATC work (one epoch).
   /// Returns false after an engine failure.

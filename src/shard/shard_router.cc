@@ -7,8 +7,8 @@
 
 namespace qsys {
 
-ShardRouter::ShardRouter(int num_shards, ShardAffinity affinity)
-    : num_shards_(std::max(1, num_shards)), affinity_(affinity) {}
+ShardRouter::ShardRouter(int num_shards)
+    : num_shards_(std::max(1, num_shards)) {}
 
 std::string ShardRouter::CanonicalKey(const std::string& keywords) {
   std::vector<std::string> terms = TokenizeKeywords(keywords);
@@ -26,41 +26,13 @@ uint64_t ShardRouter::CanonicalSignature(const std::string& keywords) {
   return Fnv1a64(CanonicalKey(keywords));
 }
 
-int ShardRouter::SignatureShard(const std::string& keywords) const {
+int ShardRouter::Route(const std::string& keywords) const {
+  if (num_shards_ == 1) return 0;
   // FNV-1a's low bit is the parity of the input bytes, so a bare
   // mod-2 would route by text parity (nearly every lowercase query on
   // one shard). Finalize before reducing.
   return static_cast<int>(MixBits64(CanonicalSignature(keywords)) %
                           static_cast<uint64_t>(num_shards_));
-}
-
-int ShardRouter::TableAffinityShard(const std::string& keywords) const {
-  if (!footprint_) return SignatureShard(keywords);
-  // Route by the smallest relation any term matches: queries touching
-  // the same hot relation land together (the ATC-CL seed heuristic,
-  // lifted to the shard level). The minimum is order-insensitive, so
-  // the choice is stable across term permutations.
-  TableId best = kInvalidTable;
-  for (const std::string& term : TokenizeKeywords(keywords)) {
-    for (TableId t : footprint_(term)) {
-      if (best == kInvalidTable || t < best) best = t;
-    }
-  }
-  if (best == kInvalidTable) return SignatureShard(keywords);
-  return static_cast<int>(MixBits64(static_cast<uint64_t>(best)) %
-                          static_cast<uint64_t>(num_shards_));
-}
-
-int ShardRouter::Route(const std::string& keywords) const {
-  if (num_shards_ == 1) return 0;
-  switch (affinity_) {
-    case ShardAffinity::kTableAffinity:
-      return TableAffinityShard(keywords);
-    case ShardAffinity::kSignatureHash:
-    case ShardAffinity::kScatterCqs:
-      return SignatureShard(keywords);
-  }
-  return 0;
 }
 
 }  // namespace qsys

@@ -185,7 +185,6 @@ TEST(FaultToleranceTest, SupervisorHeartbeatComparisonIsChangeNotIncrease) {
 
 TEST(FaultToleranceTest, SupervisorRestartBudgetAndOutcomes) {
   SupervisorPolicy policy;
-  policy.restart_crashed = true;
   policy.max_restarts_per_shard = 1;
   ShardSupervisor sup(1, policy);
 
@@ -304,7 +303,7 @@ TEST(FaultToleranceTest, DeadlineBeatsRetryBackoff) {
   options.retry_backoff_base_ms = 100;
   options.retry_backoff_max_ms = 100;
   options.max_retries = 3;
-  options.restart_crashed_shards = false;
+  options.max_restarts_per_shard = 0;
   QueryService service(options);
   ASSERT_TRUE(service.BuildEachEngine(TinyBuilder).ok());
   ASSERT_TRUE(service.Start().ok());
@@ -546,6 +545,85 @@ TEST(FaultToleranceTest, ShutdownDrainsBoundedUnderThreadedStall) {
     ASSERT_EQ(tickets[i].future().wait_for(std::chrono::seconds(0)),
               std::future_status::ready)
         << TestQueries()[i] << " left unresolved by shutdown";
+  }
+}
+
+// ---- a crash in the final drain ----
+
+// Shard 1 crashes on the drive after `pumps` pumps: the final drain of
+// Shutdown(kDrain), after supervision has stopped. Manual pumps fix the
+// drive count, so the crash lands there deterministically. Submits the
+// test queries that route to `routed_to` and returns their tickets.
+std::vector<QueryTicket> CrashShard1InFinalDrain(
+    QueryService& service, ScriptedShardFaultInjector& injector,
+    int routed_to, int pumps) {
+  std::vector<QueryTicket> tickets;
+  EXPECT_TRUE(service.BuildEachEngine(TinyBuilder).ok());
+  EXPECT_TRUE(service.Start().ok());
+  service.InstallShardFaultInjector(&injector);
+  auto session = service.OpenSession("final-drain");
+  EXPECT_TRUE(session.ok());
+  for (const std::string& q : TestQueries()) {
+    if (service.router().Route(q) != routed_to) continue;
+    auto t = service.Submit(session.value(), q);
+    EXPECT_TRUE(t.ok()) << q;
+    tickets.push_back(std::move(t).value());
+  }
+  EXPECT_FALSE(tickets.empty()) << "no test query routes to " << routed_to;
+  for (int i = 0; i < pumps; ++i) EXPECT_TRUE(service.PumpOnce().ok());
+  EXPECT_FALSE(injector.crash_fired());
+  return tickets;
+}
+
+TEST(FaultToleranceTest,
+     CrashInFinalDrainStrandingNoQueryIsNotAShutdownFailure) {
+  // Every query routes to shard 0, so shard 1's crash strands nothing:
+  // the drain succeeds, as if a supervision pass had taken shard 1
+  // down.
+  constexpr int kPumps = 3;
+  ShardFaultPlan plan;
+  plan.target_shard = 1;
+  plan.crash_at_seq = kPumps;
+  ScriptedShardFaultInjector injector(plan);
+  QueryService service(FaultTestOptions(2));
+  std::vector<QueryTicket> tickets =
+      CrashShard1InFinalDrain(service, injector, /*routed_to=*/0, kPumps);
+  EXPECT_TRUE(service.Shutdown(QueryService::ShutdownMode::kDrain).ok());
+  EXPECT_TRUE(injector.crash_fired());
+  for (QueryTicket& t : tickets) {
+    EXPECT_TRUE(t.Wait().status.ok()) << t.Wait().keywords;
+  }
+  // The shutdown did not swallow the crash: the supervisor recorded it
+  // and took shard 1 out of rotation, and shard 0 stayed healthy.
+  ASSERT_NE(service.supervisor(), nullptr);
+  EXPECT_EQ(service.supervisor()->state(1),
+            ShardSupervisor::ShardState::kCrashed);
+  EXPECT_TRUE(service.supervisor()->out_of_rotation(1));
+  EXPECT_EQ(service.supervisor()->state(0),
+            ShardSupervisor::ShardState::kHealthy);
+}
+
+TEST(FaultToleranceTest, CrashInFinalDrainStrandingQueriesFailsThem) {
+  // The same crash with queries pinned to shard 1 and still unflushed
+  // in its batcher: the crash strands them, so they resolve with its
+  // status and the shutdown reports it.
+  constexpr int kPumps = 3;
+  ShardFaultPlan plan;
+  plan.target_shard = 1;
+  plan.crash_at_seq = kPumps;
+  ScriptedShardFaultInjector injector(plan);
+  ServiceOptions options = FaultTestOptions(2);
+  options.config.batch_size = 50;               // never fills
+  options.config.batch_window_us = 60'000'000;  // never expires
+  QueryService service(options);
+  std::vector<QueryTicket> tickets =
+      CrashShard1InFinalDrain(service, injector, /*routed_to=*/1, kPumps);
+  EXPECT_EQ(service.Shutdown(QueryService::ShutdownMode::kDrain).code(),
+            StatusCode::kUnavailable);
+  EXPECT_TRUE(injector.crash_fired());
+  for (QueryTicket& t : tickets) {
+    EXPECT_EQ(t.Wait().status.code(), StatusCode::kUnavailable)
+        << t.Wait().keywords;
   }
 }
 

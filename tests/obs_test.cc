@@ -404,10 +404,6 @@ TEST(ObsServeTest, ServeRunProducesWellFormedSpans) {
   options.config.num_shards = 2;
   options.config.exec_threads = 2;
   options.config.sharing = SharingConfig::kAtcCl;
-  // Signature-hash routing spreads the distinct query strings below
-  // across both shards (table affinity would co-locate them: the tiny
-  // dataset's queries all share hot relations).
-  options.config.shard_affinity = ShardAffinity::kSignatureHash;
   options.config.batch_size = 4;
   options.config.batch_window_us = 2000;
   // Large enough that nothing drops: the span accounting below needs

@@ -59,27 +59,12 @@ TEST(SubmitQueueTest, CloseRejectsPushesAndWakesPoppers) {
   ASSERT_TRUE(q.TryPush(7));
   q.Close();
   EXPECT_FALSE(q.TryPush(8));
-  EXPECT_FALSE(q.Push(8));
   // Queued items remain poppable after close.
   auto item = q.PopUntil(std::nullopt);
   ASSERT_TRUE(item.has_value());
   EXPECT_EQ(*item, 7);
   // Closed and drained: Pop returns immediately.
   EXPECT_FALSE(q.PopUntil(std::nullopt).has_value());
-}
-
-TEST(SubmitQueueTest, BlockingPushWaitsForDrain) {
-  SubmitQueue<int> q(1);
-  ASSERT_TRUE(q.TryPush(1));
-  std::thread consumer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.PopUntil(std::nullopt);
-  });
-  EXPECT_TRUE(q.Push(2));  // blocks until the consumer pops
-  consumer.join();
-  auto item = q.PopUntil(std::nullopt);
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(*item, 2);
 }
 
 // ---- sessions & admission ----

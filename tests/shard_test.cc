@@ -1,11 +1,12 @@
 // Tests for the sharded serving layer (src/shard/ + the sharded
-// QueryService): router determinism and affinity, cross-shard rank-merge
-// canonicalization, sharded-vs-single-engine differential equivalence
-// (per-UQ top-k byte-equivalent across shard counts), scatter execution,
-// and multi-shard drain/cancel shutdown.
+// QueryService): router determinism, the canonical result order,
+// sharded-vs-single-engine differential equivalence (per-UQ top-k
+// byte-equivalent across shard counts, every answer in canonical order
+// and at most k long), and multi-shard drain/cancel shutdown.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <set>
@@ -13,8 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/exec/rank_merge_op.h"
 #include "src/serve/query_service.h"
-#include "src/shard/rank_merger.h"
 #include "src/shard/shard_router.h"
 #include "src/workload/bio_terms.h"
 #include "src/workload/gus.h"
@@ -40,7 +41,7 @@ TEST(ShardRouterTest, CanonicalKeyNormalizesOrderCaseAndDuplicates) {
 }
 
 TEST(ShardRouterTest, RouteIsStableAndInRange) {
-  ShardRouter router(4, ShardAffinity::kSignatureHash);
+  ShardRouter router(4);
   const char* queries[] = {"membrane gene", "kinase pathway",
                            "receptor transport", "mutation metabolism",
                            "protein family domain"};
@@ -57,31 +58,11 @@ TEST(ShardRouterTest, RouteIsStableAndInRange) {
   // Term order / case variants co-locate.
   EXPECT_EQ(router.Route("membrane gene"), router.Route("GENE membrane"));
 
-  ShardRouter single(1, ShardAffinity::kSignatureHash);
+  ShardRouter single(1);
   EXPECT_EQ(single.Route("anything at all"), 0);
 }
 
-TEST(ShardRouterTest, TableAffinityColocatesByHottestRelation) {
-  ShardRouter router(4, ShardAffinity::kTableAffinity);
-  router.set_footprint_fn(
-      [](const std::string& term) -> std::vector<TableId> {
-        if (term == "alpha") return {5};
-        if (term == "beta") return {2, 7};
-        if (term == "gamma") return {2};
-        return {};
-      });
-  // All three queries bottom out at relation 2 -> same shard.
-  int shard = router.Route("beta");
-  EXPECT_EQ(router.Route("gamma"), shard);
-  EXPECT_EQ(router.Route("alpha beta"), shard);
-  EXPECT_EQ(router.Route("beta alpha"), shard) << "order-insensitive";
-  // No footprint at all: falls back to the signature hash.
-  ShardRouter hash(4, ShardAffinity::kSignatureHash);
-  EXPECT_EQ(router.Route("unmatched words"),
-            hash.Route("unmatched words"));
-}
-
-// ---- RankMerger ----
+// ---- the canonical result order ----
 
 ResultTuple MakeResult(double score, TableId table, RowId row,
                        int cq_id = 1) {
@@ -92,25 +73,16 @@ ResultTuple MakeResult(double score, TableId table, RowId row,
   return r;
 }
 
-TEST(RankMergerTest, MergesByScoreAndTruncatesToK) {
-  std::vector<std::vector<ResultTuple>> streams(2);
-  streams[0] = {MakeResult(0.9, 1, 10), MakeResult(0.5, 1, 11)};
-  streams[1] = {MakeResult(0.7, 2, 20), MakeResult(0.3, 2, 21)};
-  std::vector<ResultTuple> merged = RankMerger::Merge(streams, 3);
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_DOUBLE_EQ(merged[0].score, 0.9);
-  EXPECT_DOUBLE_EQ(merged[1].score, 0.7);
-  EXPECT_DOUBLE_EQ(merged[2].score, 0.5);
-}
-
 TEST(RankMergerTest, TieBreakIsDeterministicAcrossStreamOrder) {
-  // Three results with one tied score, delivered in opposite stream
-  // orders: the merge must produce identical bytes either way.
-  std::vector<ResultTuple> a = {MakeResult(0.8, 3, 30, /*cq=*/7),
-                                MakeResult(0.8, 1, 99, /*cq=*/8)};
-  std::vector<ResultTuple> b = {MakeResult(0.8, 2, 5, /*cq=*/9)};
-  std::vector<ResultTuple> m1 = RankMerger::Merge({a, b}, 0);
-  std::vector<ResultTuple> m2 = RankMerger::Merge({b, a}, 0);
+  // Three results with one tied score, arriving in opposite orders:
+  // ResultTupleOrder, which every rank-merge finalizes its answers
+  // under, must rank them identically either way.
+  std::vector<ResultTuple> m1 = {MakeResult(0.8, 3, 30, /*cq=*/7),
+                                 MakeResult(0.8, 1, 99, /*cq=*/8),
+                                 MakeResult(0.8, 2, 5, /*cq=*/9)};
+  std::vector<ResultTuple> m2(m1.rbegin(), m1.rend());
+  std::stable_sort(m1.begin(), m1.end(), ResultTupleOrder());
+  std::stable_sort(m2.begin(), m2.end(), ResultTupleOrder());
   ASSERT_EQ(m1.size(), 3u);
   ASSERT_EQ(m2.size(), 3u);
   for (size_t i = 0; i < m1.size(); ++i) {
@@ -123,36 +95,20 @@ TEST(RankMergerTest, TieBreakIsDeterministicAcrossStreamOrder) {
   EXPECT_EQ(m1[2].tuple.ref(0).table, 3);
 }
 
-TEST(RankMergerTest, CanonicalizeIsIdempotentAndHandlesEmpty) {
-  std::vector<ResultTuple> results;
-  RankMerger::Canonicalize(results, 5);
-  EXPECT_TRUE(results.empty());
-  results = {MakeResult(0.2, 1, 1), MakeResult(0.9, 1, 2)};
-  RankMerger::Canonicalize(results, 5);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_DOUBLE_EQ(results[0].score, 0.9);
-  std::vector<ResultTuple> again = results;
-  RankMerger::Canonicalize(again, 5);
-  EXPECT_DOUBLE_EQ(again[0].score, results[0].score);
-  EXPECT_DOUBLE_EQ(again[1].score, results[1].score);
-  EXPECT_TRUE(RankMerger::Merge({}, 5).empty());
-}
-
 // ---- sharded service: differential equivalence ----
 
 
 /// Runs `queries` through a sharded service (deterministically: manual
 /// pump, drain shutdown) and returns each query's outcome fingerprint
-/// ("" = failed).
+/// ("" = failed). Every answer must already be in the canonical order
+/// and at most k long: the service delivers the shard's rank-merge
+/// output as is.
 std::vector<std::string> RunSharded(
-    int num_shards, ShardAffinity affinity,
-    const std::vector<std::string>& queries,
-    const std::function<Status(Engine&)>& builder, QConfig base,
-    int64_t* cross_shard_merges = nullptr) {
+    int num_shards, const std::vector<std::string>& queries,
+    const std::function<Status(Engine&)>& builder, QConfig base) {
   ServiceOptions options;
   options.config = base;
   options.config.num_shards = num_shards;
-  options.config.shard_affinity = affinity;
   options.manual_pump = true;
   options.queue_capacity = queries.size() * 8 + 16;
   QueryService service(options);
@@ -171,10 +127,14 @@ std::vector<std::string> RunSharded(
   std::vector<std::string> fingerprints;
   for (QueryTicket& t : tickets) {
     const QueryOutcome& out = t.Wait();
+    if (out.status.ok()) {
+      EXPECT_TRUE(std::is_sorted(out.results.begin(), out.results.end(),
+                                 ResultTupleOrder()))
+          << out.keywords << ": answer not in canonical order";
+      EXPECT_LE(out.results.size(), static_cast<size_t>(base.k))
+          << out.keywords;
+    }
     fingerprints.push_back(out.status.ok() ? FingerprintResults(out.results) : "");
-  }
-  if (cross_shard_merges != nullptr) {
-    *cross_shard_merges = service.counters().cross_shard_merges.load();
   }
   return fingerprints;
 }
@@ -187,19 +147,13 @@ TEST(ShardedServiceTest, TinyBioShardedMatchesSingleEngine) {
   };
   auto builder = [](Engine& e) { return BuildTinyBioDataset(e); };
   QConfig config = FastTestConfig();
-  std::vector<std::string> single =
-      RunSharded(1, ShardAffinity::kSignatureHash, queries, builder, config);
-  for (ShardAffinity affinity :
-       {ShardAffinity::kSignatureHash, ShardAffinity::kTableAffinity}) {
-    std::vector<std::string> sharded =
-        RunSharded(3, affinity, queries, builder, config);
-    ASSERT_EQ(single.size(), sharded.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_FALSE(single[i].empty()) << queries[i];
-      EXPECT_EQ(single[i], sharded[i])
-          << ShardAffinityName(affinity) << ": per-UQ top-k must be "
-          << "byte-equivalent for " << queries[i];
-    }
+  std::vector<std::string> single = RunSharded(1, queries, builder, config);
+  std::vector<std::string> sharded = RunSharded(3, queries, builder, config);
+  ASSERT_EQ(single.size(), sharded.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_FALSE(single[i].empty()) << queries[i];
+    EXPECT_EQ(single[i], sharded[i])
+        << "per-UQ top-k must be byte-equivalent for " << queries[i];
   }
 }
 
@@ -224,10 +178,8 @@ TEST(ShardedServiceTest, GusShardedMatchesSingleEngine) {
   config.k = 50;
   config.batch_size = 4;
   config.max_rounds = 200'000'000;
-  std::vector<std::string> single =
-      RunSharded(1, ShardAffinity::kSignatureHash, queries, builder, config);
-  std::vector<std::string> sharded =
-      RunSharded(4, ShardAffinity::kSignatureHash, queries, builder, config);
+  std::vector<std::string> single = RunSharded(1, queries, builder, config);
+  std::vector<std::string> sharded = RunSharded(4, queries, builder, config);
   ASSERT_EQ(single.size(), sharded.size());
   int completed = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -235,28 +187,6 @@ TEST(ShardedServiceTest, GusShardedMatchesSingleEngine) {
     if (!single[i].empty()) completed += 1;
   }
   EXPECT_GT(completed, 0);
-}
-
-TEST(ShardedServiceTest, ScatterCrossShardMergeMatchesSingleEngine) {
-  const std::vector<std::string> queries = {
-      "membrane gene", "kinase pathway", "receptor transport",
-      "membrane transport"};
-  auto builder = [](Engine& e) { return BuildTinyBioDataset(e); };
-  QConfig config = FastTestConfig();
-  std::vector<std::string> single =
-      RunSharded(1, ShardAffinity::kSignatureHash, queries, builder, config);
-  int64_t merges = 0;
-  std::vector<std::string> scattered = RunSharded(
-      3, ShardAffinity::kScatterCqs, queries, builder, config, &merges);
-  ASSERT_EQ(single.size(), scattered.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_FALSE(single[i].empty()) << queries[i];
-    EXPECT_EQ(single[i], scattered[i])
-        << "cross-shard merged top-k must match single-engine: "
-        << queries[i];
-  }
-  // The answers really were assembled across shards.
-  EXPECT_GT(merges, 0);
 }
 
 // ---- sharded service: lifecycle ----

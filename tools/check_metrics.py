@@ -46,7 +46,6 @@ EXPECTED_COUNTERS = {
     "qsys_exec_tuples_streamed_total",
     "qsys_exec_tuples_shared_served_total",
     "qsys_route_local_total",
-    "qsys_route_scatter_total",
     "qsys_query_retries_total",
     "qsys_deadline_exceeded_total",
     "qsys_shard_restarts_total",

@@ -28,8 +28,8 @@ import sys
 import tempfile
 
 # Span/instant types every traced concurrent_service run must produce.
-# (Spill/eviction/scatter types only appear under configurations the
-# smoke run does not exercise.)
+# (Spill/eviction/fault-tolerance types only appear under configurations
+# the smoke run does not exercise.)
 REQUIRED_NAMES = {
     "admit",
     "queue_wait",
