@@ -9,7 +9,7 @@
 //   * threaded passes (concurrent clients, live executor + worker
 //     pool) measuring shard-local served throughput (best of three).
 //
-// Shape expectations: every query resolves and every thread count
+// Shape expectations: every query is answered and every thread count
 // returns byte-identical per-UQ top-k. On a multi-core host the multi-
 // threaded sweep entries must beat the 1-thread baseline; on a 1-core
 // container the ratio is recorded but not asserted (there is nothing
@@ -343,15 +343,16 @@ int main(int argc, char** argv) {
   check.Check(equivalent,
               "per-UQ top-k byte-equivalent across all exec-thread counts");
   for (const SweepRun& run : runs) {
-    check.Check(run.completed + run.failed == kNumQueries,
+    check.Check(run.completed == kNumQueries,
                 "exec_threads=" + std::to_string(run.exec_threads) +
-                    " resolved the whole workload");
+                    " answered the whole workload");
   }
   check.Check(runs.front().num_atcs > 1,
               "clustered sharing built multiple ATCs per engine");
-  if (cores >= 2 && base_qps > 0 && best_parallel_qps > 0) {
-    // Only meaningful when there are cores to spread across.
-    check.Check(best_parallel_qps > base_qps,
+  if (cores >= 2) {
+    // Only meaningful when there are cores to spread across. A baseline
+    // that answered nothing is no baseline: that fails the check.
+    check.Check(base_qps > 0 && best_parallel_qps > base_qps,
                 "multi-threaded epochs beat the 1-thread baseline on a "
                 "multi-core host");
   } else {

@@ -248,7 +248,6 @@ bool RunTracedPass(const std::string& path,
     }
     printf("metrics scrape written to %s\n", metrics_path.c_str());
   }
-  printf("traced-pass metrics:\n%s", service.MetricsText().c_str());
   return true;
 }
 
@@ -511,13 +510,12 @@ int main(int argc, char** argv) {
   json.Add("served.join_probes", shared.join_probes);
   json.Write();
 
-  check.Check(completed + failed == submitted &&
-                  submitted == kNumQueries,
-              "every submitted query resolved");
+  check.Check(completed == submitted && submitted == kNumQueries,
+              "every submitted query answered");
   check.Check(delivered == completed && completed > 0,
               "every completed query delivered ranked results");
-  check.Check(isolated_completed + failed >= kNumQueries,
-              "isolated baseline completed the same workload");
+  check.Check(isolated_completed == kNumQueries,
+              "isolated baseline answered the whole workload");
   check.Check(shared.tuples_streamed < isolated.tuples_streamed,
               "shared execution streams fewer tuples than isolated runs");
   check.Check(shared.probes_issued <= isolated.probes_issued,
@@ -577,12 +575,16 @@ int main(int argc, char** argv) {
   check.Check(equivalent,
               "per-UQ top-k byte-equivalent across all shard counts");
   for (const SweepRun& run : runs) {
-    check.Check(run.completed + run.failed == kNumQueries,
+    check.Check(run.completed == kNumQueries,
                 "shards=" + std::to_string(run.num_shards) +
-                    " resolved the whole workload");
+                    " answered the whole workload");
   }
   if (runs.size() >= 2 && runs[0].num_shards == 1) {
-    check.Check(runs[1].qps > runs[0].qps,
+    // Throughputs compare only between passes that answered the same
+    // (whole) workload.
+    check.Check(runs[0].completed == kNumQueries &&
+                    runs[1].completed == kNumQueries &&
+                    runs[1].qps > runs[0].qps,
                 "served throughput strictly increases from " +
                     std::to_string(runs[0].num_shards) + " to " +
                     std::to_string(runs[1].num_shards) + " shards");

@@ -18,8 +18,9 @@
 // in chrome://tracing or Perfetto); --metrics-out writes two Prometheus
 // text-exposition scrapes — PATH.mid mid-run and PATH after shutdown,
 // so tools/check_metrics.py can verify format and counter monotonicity.
-// The instrumented run also enables the decision journal and prints one
-// query's Explain() — every sharing decision made on its behalf.
+// The instrumented run also prints the final Prometheus scrape, enables
+// the decision journal and prints one query's Explain() — every sharing
+// decision made on its behalf.
 
 #include <atomic>
 #include <cstdio>
@@ -247,8 +248,8 @@ int main(int argc, char** argv) {
            metrics_out.c_str(), metrics_out.c_str());
   }
   if (instrumented) {
-    printf("\nlatency histograms and counters:\n%s",
-           service.MetricsText().c_str());
+    printf("\nmetrics scrape (Prometheus text):\n%s",
+           service.MetricsPrometheus().c_str());
     // One query's decision journal: which ATC its batch joined, the
     // costed optimizer alternatives, graft reuse-vs-fresh, and whose
     // shared state it benefited from.

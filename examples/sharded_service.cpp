@@ -201,10 +201,10 @@ int main() {
          static_cast<long long>(stats.tuples_streamed),
          static_cast<long long>(stats.probes_issued));
   for (int s = 0; s < service.num_shards(); ++s) {
-    ExecStats shard = service.shard_stats(s);
+    const ShardStats shard = service.shard_stats(s);
     printf("  shard %d: %lld epochs, %lld tuples streamed\n", s,
-           static_cast<long long>(service.shard_epochs(s)),
-           static_cast<long long>(shard.tuples_streamed));
+           static_cast<long long>(shard.epochs),
+           static_cast<long long>(shard.exec.tuples_streamed));
   }
   return 0;
 }

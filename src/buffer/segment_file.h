@@ -1,11 +1,11 @@
 // SegmentFile: one file-backed store of fixed-size pages.
 //
 // The spill tier keeps one segment per spill class (hash tables, probe
-// caches, materialized streams, ranking queues) so on-disk locality
-// follows access locality. A segment hands out page numbers from a free
-// list (recycling pages released by restored or superseded spill
-// handles) and reads/writes whole pages by offset. Segments are scratch
-// storage: the file is unlinked when the segment is destroyed.
+// caches) so on-disk locality follows access locality. A segment hands
+// out page numbers from a free list (recycling pages released by
+// restored or superseded spill handles) and reads/writes whole pages by
+// offset. Segments are scratch storage: the file is unlinked when the
+// segment is destroyed.
 
 #ifndef QSYS_BUFFER_SEGMENT_FILE_H_
 #define QSYS_BUFFER_SEGMENT_FILE_H_

@@ -229,10 +229,6 @@ const char* ClassFileName(SpillManager::Class cls) {
       return "hash_tables.seg";
     case SpillManager::Class::kProbeCache:
       return "probe_caches.seg";
-    case SpillManager::Class::kStream:
-      return "streams.seg";
-    case SpillManager::Class::kRankingQueue:
-      return "ranking_queues.seg";
   }
   return "unknown.seg";
 }

@@ -1,12 +1,12 @@
 // SpillManager: serialization of evictable query state into the page
 // tier (EMBANKS-style disk demotion for keyword-search middleware).
 //
-// Under memory pressure the state manager evicts hash tables, probe
-// caches, materialized streams, and ranking queues. With a SpillManager
-// attached, the payload is serialized into pages of a per-class
-// SegmentFile before the memory is freed; the next batch that wants the
-// state faults it back in (graft backfill, operator reuse, probe-cache
-// miss) instead of re-executing against the remote sources.
+// Under memory pressure the state manager evicts hash tables and probe
+// caches. With a SpillManager attached, the payload is serialized into
+// pages of a per-class SegmentFile before the memory is freed; the
+// next batch that wants the state faults it back in (graft backfill,
+// operator reuse, probe-cache miss) instead of re-executing against
+// the remote sources.
 //
 // Serialization preserves exactly what recovery and grafting rely on
 // (§6.2): composite tuples are written in arrival order with their
@@ -55,8 +55,6 @@ class SpillManager {
   enum class Class : uint8_t {
     kHashTable = 0,
     kProbeCache = 1,
-    kStream = 2,
-    kRankingQueue = 3,
   };
 
   /// Creates `dir` (and parents) if needed, claims a unique scratch
@@ -214,7 +212,7 @@ class SpillManager {
   BufferManager pool_;
   /// Guards the registry, segments, and item counters below.
   mutable std::mutex mu_;
-  std::unique_ptr<SegmentFile> segments_[4];
+  std::unique_ptr<SegmentFile> segments_[2];
   std::unordered_map<std::string, Handle> handles_;
   int64_t items_spilled_ = 0;
   int64_t items_restored_ = 0;

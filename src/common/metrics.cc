@@ -21,20 +21,6 @@ void ExecStats::Merge(const ExecStats& other) {
   tuples_shared_served += other.tuples_shared_served;
 }
 
-std::string ExecStats::ToString() const {
-  char buf[256];
-  snprintf(buf, sizeof(buf),
-           "stream=%.3fs probe=%.3fs join=%.3fs opt=%.3fs | "
-           "streamed=%lld probes=%lld joins=%lld out=%lld",
-           ToSeconds(stream_read_us), ToSeconds(random_access_us),
-           ToSeconds(join_us), ToSeconds(optimize_us),
-           static_cast<long long>(tuples_streamed),
-           static_cast<long long>(probes_issued),
-           static_cast<long long>(join_probes),
-           static_cast<long long>(join_outputs));
-  return buf;
-}
-
 std::string SpillStats::ToString() const {
   char buf[256];
   snprintf(buf, sizeof(buf),

@@ -84,90 +84,16 @@ struct ExecStats {
 
   /// Accumulates another stats block into this one.
   void Merge(const ExecStats& other);
-
-  /// One-line rendering for logs and bench output.
-  std::string ToString() const;
 };
 
-/// \brief Lock-free mirror of ExecStats for cross-thread observability.
-///
-/// The serving layer's executor thread publishes a fresh snapshot after
-/// every shared-execution epoch (while holding the engine lock); client
-/// threads read counters at any time without taking that lock. Relaxed
-/// ordering is sufficient: each field is an independent monotone counter
-/// used for monitoring, not for synchronization.
-struct AtomicExecStats {
-  std::atomic<int64_t> stream_read_us{0};
-  std::atomic<int64_t> random_access_us{0};
-  std::atomic<int64_t> join_us{0};
-  std::atomic<int64_t> optimize_us{0};
-  std::atomic<int64_t> tuples_streamed{0};
-  std::atomic<int64_t> probes_issued{0};
-  std::atomic<int64_t> probe_cache_hits{0};
-  std::atomic<int64_t> join_probes{0};
-  std::atomic<int64_t> join_outputs{0};
-  std::atomic<int64_t> split_routed{0};
-  std::atomic<int64_t> results_emitted{0};
-  std::atomic<int64_t> tuples_rederived{0};
-  std::atomic<int64_t> tuples_rederived_skipped{0};
-  std::atomic<int64_t> tuples_shared_served{0};
-
-  /// Publishes `s` as the current totals.
-  void Store(const ExecStats& s) {
-    stream_read_us.store(s.stream_read_us, std::memory_order_relaxed);
-    random_access_us.store(s.random_access_us, std::memory_order_relaxed);
-    join_us.store(s.join_us, std::memory_order_relaxed);
-    optimize_us.store(s.optimize_us, std::memory_order_relaxed);
-    tuples_streamed.store(s.tuples_streamed, std::memory_order_relaxed);
-    probes_issued.store(s.probes_issued, std::memory_order_relaxed);
-    probe_cache_hits.store(s.probe_cache_hits, std::memory_order_relaxed);
-    join_probes.store(s.join_probes, std::memory_order_relaxed);
-    join_outputs.store(s.join_outputs, std::memory_order_relaxed);
-    split_routed.store(s.split_routed, std::memory_order_relaxed);
-    results_emitted.store(s.results_emitted, std::memory_order_relaxed);
-    tuples_rederived.store(s.tuples_rederived, std::memory_order_relaxed);
-    tuples_rederived_skipped.store(s.tuples_rederived_skipped,
-                                   std::memory_order_relaxed);
-    tuples_shared_served.store(s.tuples_shared_served,
-                               std::memory_order_relaxed);
-  }
-
-  /// Reads the current totals into a plain ExecStats.
-  ExecStats Load() const {
-    ExecStats s;
-    s.stream_read_us = stream_read_us.load(std::memory_order_relaxed);
-    s.random_access_us = random_access_us.load(std::memory_order_relaxed);
-    s.join_us = join_us.load(std::memory_order_relaxed);
-    s.optimize_us = optimize_us.load(std::memory_order_relaxed);
-    s.tuples_streamed = tuples_streamed.load(std::memory_order_relaxed);
-    s.probes_issued = probes_issued.load(std::memory_order_relaxed);
-    s.probe_cache_hits = probe_cache_hits.load(std::memory_order_relaxed);
-    s.join_probes = join_probes.load(std::memory_order_relaxed);
-    s.join_outputs = join_outputs.load(std::memory_order_relaxed);
-    s.split_routed = split_routed.load(std::memory_order_relaxed);
-    s.results_emitted = results_emitted.load(std::memory_order_relaxed);
-    s.tuples_rederived = tuples_rederived.load(std::memory_order_relaxed);
-    s.tuples_rederived_skipped =
-        tuples_rederived_skipped.load(std::memory_order_relaxed);
-    s.tuples_shared_served =
-        tuples_shared_served.load(std::memory_order_relaxed);
-    return s;
-  }
-};
-
-// Mirror tripwires: ExecStats crosses thread boundaries through
-// AtomicExecStats::Store/Load and shard aggregation through
-// ExecStats::Merge, all of which enumerate fields by hand. A counter
-// added to one struct but not the other would silently vanish from
-// serve/shard observability — the size equalities below (both structs
-// are padding-free arrays of 8-byte fields) turn that into a compile
-// error, and tests/obs_test.cc pattern-checks the enumerations.
+// ExecStats crosses shard boundaries through ExecStats::Merge, which
+// enumerates fields by hand; a counter added here but not there would
+// silently vanish from serve/shard observability. The size equality
+// turns that into a compile error, and tests/obs_test.cc
+// pattern-checks the enumeration.
 static_assert(sizeof(ExecStats) == 14 * sizeof(int64_t),
-              "ExecStats gained/lost a field: update AtomicExecStats"
-              "::Store/Load, ExecStats::Merge/ToString, and the mirror "
-              "test in tests/obs_test.cc");
-static_assert(sizeof(AtomicExecStats) == sizeof(ExecStats),
-              "AtomicExecStats must mirror every ExecStats field");
+              "ExecStats gained/lost a field: update ExecStats::Merge and "
+              "the mirror test in tests/obs_test.cc");
 
 /// \brief Counters of the disk-spill tier (src/buffer/): how much
 /// evicted query state was demoted to disk instead of destroyed, and
@@ -204,6 +130,21 @@ static_assert(sizeof(SpillStats) == 8 * sizeof(int64_t),
               "::StoreSpill/LoadSpill, the spill gauge aggregation in "
               "QueryService::AggregateSpillGauges, and the mirror test "
               "in tests/obs_test.cc");
+
+/// \brief One shard's published state as of its last completed epoch.
+/// The shard executor copies it out under one mutex after each epoch,
+/// so a reader on any thread sees every field from the same epoch.
+struct ShardStats {
+  /// The engine's work counters, summed over its ATCs.
+  ExecStats exec;
+  /// The engine's spill-tier gauges (all zero when spilling is off).
+  SpillStats spill;
+  /// Live plan-graph operators plus replay streams, summed over the
+  /// engine's ATCs (the qsys_plan_graph_operators gauge).
+  int64_t plan_graph_operators = 0;
+  /// Shared-execution epochs the shard has driven, across restarts.
+  int64_t epochs = 0;
+};
 
 /// \brief Per-shard routing-decision counters: how many queries were
 /// routed to a shard (local). Exported as the qsys_route_local_total

@@ -128,6 +128,7 @@ Atc* Engine::GetOrCreateAtc(int index_hint, VirtualTime start_time) {
       config_.adaptive_probing);
   atc->clock().AdvanceTo(start_time);
   atcs_.push_back(std::move(atc));
+  harvested_.emplace_back();
   return atcs_.back().get();
 }
 
@@ -449,19 +450,22 @@ void Engine::HarvestCompletions(Atc* atc) {
       }
       atc->RetireCompleted(m.uq_id);
     }
-    completed_queue_.Push(std::move(done));
+    harvested_[atc->id()].push_back(std::move(done));
   }
 }
 
-void Engine::DrainCompletionQueue() {
-  while (std::optional<CompletedQuery> done = completed_queue_.Pop()) {
-    if (retains_history()) {
-      metrics_.push_back(done->metrics);
-    } else {
-      // Plan-graph pointers to the UserQuery do not outlive Graft().
-      uqs_.erase(done->metrics.uq_id);
-      completed_sink_(std::move(*done));
+void Engine::DeliverCompletions() {
+  for (std::vector<CompletedQuery>& list : harvested_) {
+    for (CompletedQuery& done : list) {
+      if (retains_history()) {
+        metrics_.push_back(done.metrics);
+      } else {
+        // Plan-graph pointers to the UserQuery do not outlive Graft().
+        uqs_.erase(done.metrics.uq_id);
+        completed_sink_(std::move(done));
+      }
     }
+    list.clear();
   }
 }
 
@@ -489,7 +493,7 @@ Result<Engine::EpochOutcome> Engine::Drain(const DrainOptions& options) {
               : t_flush;
       Status drained = DrainAtcsTo(bound);
       out.worked = true;
-      DrainCompletionQueue();
+      DeliverCompletions();
       QSYS_RETURN_IF_ERROR(drained);
     }
     if (t_flush == kNeverUs) break;  // all due ATC work drained, no flush
@@ -513,7 +517,7 @@ Result<Engine::EpochOutcome> Engine::Drain(const DrainOptions& options) {
     }
     state_manager_->SnapshotSourceStats();
     state_manager_->EnforceBudget(flush_at);
-    DrainCompletionQueue();
+    DeliverCompletions();
     out.flushes += 1;
     out.worked = true;
   }
@@ -528,7 +532,7 @@ void Engine::FinishRun() {
     std::lock_guard<std::mutex> atc_lock(atc->mu());
     HarvestCompletions(atc.get());
   }
-  DrainCompletionQueue();
+  DeliverCompletions();
   std::stable_sort(metrics_.begin(), metrics_.end(),
                    [](const UserQueryMetrics& a, const UserQueryMetrics& b) {
                      return a.uq_id < b.uq_id;

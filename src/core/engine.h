@@ -27,12 +27,15 @@
 // worker pool (QConfig::exec_threads), each under its own per-ATC
 // lock, while the cross-ATC structures (batcher, optimizer, grafter,
 // state registry, spill tier) keep a narrow serialized section on the
-// coordinating thread. Completed queries travel from drain workers to
-// the coordinator through a lock-free MPSC completion queue.
+// coordinating thread. A drain worker appends each query its ATC
+// completes to that ATC's completion list, under the ATC lock it
+// already holds; the coordinator empties the lists in ATC order once
+// the workers are quiesced.
 
 #ifndef QSYS_CORE_ENGINE_H_
 #define QSYS_CORE_ENGINE_H_
 
+#include <atomic>
 #include <functional>
 #include <limits>
 #include <map>
@@ -41,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/mpsc_queue.h"
 #include "src/core/atc_scheduler.h"
 #include "src/core/config.h"
 #include "src/keyword/candidate_gen.h"
@@ -180,7 +182,7 @@ class Engine {
   /// grow without bound. Without a sink (the simulator) the engine keeps
   /// all of that for post-run reads. Install before the first Ingest();
   /// always invoked on the thread driving Drain(), as the coordinator
-  /// drains the MPSC completion queue — never on a pool worker.
+  /// empties the per-ATC completion lists — never on a pool worker.
   using CompletedSink = std::function<void(CompletedQuery&&)>;
   void set_completed_sink(CompletedSink sink) {
     completed_sink_ = std::move(sink);
@@ -314,13 +316,14 @@ class Engine {
   /// pool (per-ATC locks; round budget enforced across workers).
   Status DrainAtcsTo(VirtualTime bound);
   /// Worker-side completion handling for one ATC (caller holds the
-  /// ATC's lock): publish on the completion queue and, in serving mode,
-  /// snapshot the results and retire the merge.
+  /// ATC's lock): append to the ATC's completion list and, in serving
+  /// mode, snapshot the results and retire the merge.
   void HarvestCompletions(Atc* atc);
-  /// Coordinator-side: pops published completions and either records
-  /// their metrics or releases engine bookkeeping and fires the
+  /// Coordinator-side, with no drain worker active: empties the
+  /// completion lists in ATC order, either recording each query's
+  /// metrics or releasing engine bookkeeping and firing the
   /// CompletedSink.
-  void DrainCompletionQueue();
+  void DeliverCompletions();
 
   QConfig config_;
   std::shared_ptr<Dataset> data_;
@@ -338,8 +341,11 @@ class Engine {
   /// Worker pool for ATC drains (created on the first Drain that has
   /// ATC work; spawns exec_threads - 1 workers).
   std::unique_ptr<AtcScheduler> scheduler_;
-  /// Drain workers -> coordinator handoff of completed queries.
-  MpscQueue<CompletedQuery> completed_queue_;
+  /// Drain workers -> coordinator handoff of completed queries, one
+  /// list per ATC (indexed by Atc::id()). A worker touches only its
+  /// ATC's list, under that ATC's lock; GetOrCreateAtc grows the outer
+  /// vector in the serialized section, when no worker runs.
+  std::vector<std::vector<CompletedQuery>> harvested_;
   CompletedSink completed_sink_;
   std::vector<ClusterInfo> clusters_;
   std::map<int, std::unique_ptr<UserQuery>> uqs_;

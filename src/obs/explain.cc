@@ -9,8 +9,8 @@ namespace qsys {
 namespace {
 
 /// Rendering schema for one DecisionKind: which operand slots are
-/// populated and the deterministic field names they render under (in
-/// both the text and JSON forms). A null name omits the slot.
+/// populated and the deterministic field names they render under. A
+/// null name omits the slot.
 struct KindSpec {
   const char* name;
   const char* a;
@@ -71,24 +71,6 @@ void AppendInt(std::string* out, int64_t v) {
   *out += buf;
 }
 
-void AppendJsonString(std::string* out, const char* s) {
-  *out += '"';
-  for (const char* p = s; *p != '\0'; ++p) {
-    char c = *p;
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      *out += c;
-    }
-  }
-  *out += '"';
-}
-
 void AppendEventText(std::string* out, const DecisionEvent& e) {
   const KindSpec& spec = SpecFor(e.kind);
   *out += "  ";
@@ -130,49 +112,6 @@ void AppendEventText(std::string* out, const DecisionEvent& e) {
     *out += e.label;
   }
   *out += '\n';
-}
-
-void AppendEventJson(std::string* out, const DecisionEvent& e) {
-  const KindSpec& spec = SpecFor(e.kind);
-  *out += "{\"kind\":";
-  AppendJsonString(out, spec.name);
-  if (spec.a != nullptr) {
-    *out += ",\"";
-    *out += spec.a;
-    *out += "\":";
-    AppendInt(out, e.a);
-  }
-  if (spec.b != nullptr) {
-    *out += ",\"";
-    *out += spec.b;
-    *out += "\":";
-    AppendInt(out, e.b);
-  }
-  if (spec.c != nullptr) {
-    *out += ",\"";
-    *out += spec.c;
-    *out += "\":";
-    AppendInt(out, e.c);
-  }
-  if (spec.x != nullptr) {
-    *out += ",\"";
-    *out += spec.x;
-    *out += "\":";
-    AppendDouble(out, e.x);
-  }
-  if (spec.y != nullptr) {
-    *out += ",\"";
-    *out += spec.y;
-    *out += "\":";
-    AppendDouble(out, e.y);
-  }
-  if (spec.label != nullptr) {
-    *out += ",\"";
-    *out += spec.label;
-    *out += "\":";
-    AppendJsonString(out, e.label);
-  }
-  *out += '}';
 }
 
 }  // namespace
@@ -289,43 +228,6 @@ std::string DecisionJournal::RenderText(int uq_id) const {
     AppendInt(&out, benefit.est_saved_us);
   }
   out += "]\n";
-  return out;
-}
-
-std::string DecisionJournal::RenderJson(int uq_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = per_uq_.find(uq_id);
-  if (it == per_uq_.end()) return "";
-  const PerUq& p = it->second;
-  std::string out = "{\"uq\":";
-  AppendInt(&out, uq_id);
-  out += ",\"events\":[";
-  bool first = true;
-  for (const DecisionEvent* e : OrderedLocked(p)) {
-    if (!first) out += ',';
-    first = false;
-    AppendEventJson(&out, *e);
-  }
-  out += "],\"dropped\":";
-  AppendInt(&out, p.dropped);
-  out += ",\"sharing_benefit\":{\"tuples_from_shared\":";
-  AppendInt(&out, p.total.tuples);
-  out += ",\"est_saved_us\":";
-  AppendInt(&out, p.total.est_saved_us);
-  out += ",\"producers\":[";
-  first = true;
-  for (const auto& [producer, benefit] : p.by_producer) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"uq\":";
-    AppendInt(&out, producer);
-    out += ",\"tuples\":";
-    AppendInt(&out, benefit.tuples);
-    out += ",\"est_saved_us\":";
-    AppendInt(&out, benefit.est_saved_us);
-    out += '}';
-  }
-  out += "]}}";
   return out;
 }
 

@@ -8,9 +8,9 @@
 //
 // PR 6 (src/obs/trace.h) made *time* observable; this makes *decisions*
 // observable: `QueryService::Explain(uq)` renders the journal of one
-// resolved user query as deterministic structured text (or JSON) — no
-// wall timestamps, no raw sharing tags, doubles via %.6g — so a
-// fixed-seed workload explains byte-identically run to run.
+// resolved user query as deterministic structured text — no wall
+// timestamps, no raw sharing tags, doubles via %.6g — so a fixed-seed
+// workload explains byte-identically run to run.
 //
 // The journal also hosts the sharing-benefit attribution profiler:
 // every warm stream prefix a grafted query inherits is credited to the
@@ -147,8 +147,6 @@ class DecisionJournal {
   /// Structured text for one resolved query ("" when unknown — callers
   /// gate on Resolved()).
   std::string RenderText(int uq_id) const;
-  /// The same journal as a single JSON object.
-  std::string RenderJson(int uq_id) const;
   /// The engine-scope log (eviction passes, victim scoring, spill
   /// restores) across all shards.
   std::string RenderEngineText() const;

@@ -182,10 +182,8 @@ const NamedSpillField kSpillFields[] = {
 
 std::string RenderPrometheus(const MetricsRegistry& metrics,
                              const ServiceCounters& counters,
-                             const std::vector<ExecStats>& shard_stats,
-                             const std::vector<SpillStats>& shard_spill,
-                             const std::vector<RouteStats>& shard_routes,
-                             const std::vector<int64_t>& shard_plan_ops) {
+                             const std::vector<ShardStats>& shards,
+                             const std::vector<RouteStats>& shard_routes) {
   std::string out;
   out.reserve(8192);
 
@@ -244,10 +242,10 @@ std::string RenderPrometheus(const MetricsRegistry& metrics,
   // -- spill-tier gauges, one series per shard --
   for (const NamedSpillField& f : kSpillFields) {
     AppendHeader(&out, f.name, "gauge", f.help);
-    for (size_t s = 0; s < shard_spill.size(); ++s) {
+    for (size_t s = 0; s < shards.size(); ++s) {
       AppendSampleInt(&out, f.name, "",
                       ShardLabel(static_cast<int>(s)),
-                      shard_spill[s].*(f.field));
+                      shards[s].spill.*(f.field));
     }
   }
 
@@ -256,102 +254,23 @@ std::string RenderPrometheus(const MetricsRegistry& metrics,
   AppendHeader(&out, "plan_graph_operators", "gauge",
                "Live plan-graph operators plus replay streams, summed "
                "over the shard's ATCs");
-  for (size_t s = 0; s < shard_plan_ops.size(); ++s) {
+  for (size_t s = 0; s < shards.size(); ++s) {
     AppendSampleInt(&out, "plan_graph_operators", "",
-                    ShardLabel(static_cast<int>(s)), shard_plan_ops[s]);
+                    ShardLabel(static_cast<int>(s)),
+                    shards[s].plan_graph_operators);
   }
 
   // -- per-shard ExecStats work counters --
   for (const NamedField& f : kExecFields) {
     AppendHeader(&out, (std::string(f.name) + "_total").c_str(), "counter",
                  f.help);
-    for (size_t s = 0; s < shard_stats.size(); ++s) {
+    for (size_t s = 0; s < shards.size(); ++s) {
       AppendSampleInt(&out, f.name, "_total",
                       ShardLabel(static_cast<int>(s)),
-                      shard_stats[s].*(f.field));
+                      shards[s].exec.*(f.field));
     }
   }
 
-  return out;
-}
-
-std::string RenderCountersText(const ServiceCounters& counters,
-                               const std::vector<ExecStats>& shard_stats,
-                               const std::vector<SpillStats>& shard_spill,
-                               const std::vector<RouteStats>& shard_routes,
-                               const std::vector<int64_t>& shard_plan_ops) {
-  std::string out;
-  out += "counters: submitted=";
-  AppendInt(&out, counters.submitted.load(std::memory_order_relaxed));
-  out += " rejected=";
-  AppendInt(&out, counters.rejected.load(std::memory_order_relaxed));
-  out += " completed=";
-  AppendInt(&out, counters.completed.load(std::memory_order_relaxed));
-  out += " failed=";
-  AppendInt(&out, counters.failed.load(std::memory_order_relaxed));
-  out += " cancelled=";
-  AppendInt(&out, counters.cancelled.load(std::memory_order_relaxed));
-  out += " epochs=";
-  AppendInt(&out, counters.epochs.load(std::memory_order_relaxed));
-  out += " batches_flushed=";
-  AppendInt(&out, counters.batches_flushed.load(std::memory_order_relaxed));
-  out += " retries=";
-  AppendInt(&out, counters.retries.load(std::memory_order_relaxed));
-  out += " deadline_exceeded=";
-  AppendInt(&out,
-            counters.deadline_exceeded.load(std::memory_order_relaxed));
-  out += " shard_restarts=";
-  AppendInt(&out, counters.shard_restarts.load(std::memory_order_relaxed));
-  out += '\n';
-
-  int64_t routed = 0;
-  for (const RouteStats& r : shard_routes) routed += r.local;
-  out += "routes: local=";
-  AppendInt(&out, routed);
-  out += '\n';
-  if (shard_routes.size() > 1) {
-    for (size_t s = 0; s < shard_routes.size(); ++s) {
-      out += "routes[shard" + std::to_string(s) + "]: local=";
-      AppendInt(&out, shard_routes[s].local);
-      out += '\n';
-    }
-  }
-
-  SpillStats spill_total;
-  for (const SpillStats& s : shard_spill) {
-    spill_total.pages_written += s.pages_written;
-    spill_total.pages_read += s.pages_read;
-    spill_total.page_faults += s.page_faults;
-    spill_total.items_spilled += s.items_spilled;
-    spill_total.items_restored += s.items_restored;
-    spill_total.bytes_on_disk += s.bytes_on_disk;
-    spill_total.spill_faults += s.spill_faults;
-    spill_total.read_retry_waits += s.read_retry_waits;
-  }
-  out += "spill: " + spill_total.ToString() + '\n';
-
-  int64_t plan_ops_total = 0;
-  for (int64_t n : shard_plan_ops) plan_ops_total += n;
-  out += "plan_graph: operators=";
-  AppendInt(&out, plan_ops_total);
-  out += '\n';
-  if (shard_plan_ops.size() > 1) {
-    for (size_t s = 0; s < shard_plan_ops.size(); ++s) {
-      out += "plan_graph[shard" + std::to_string(s) + "]: operators=";
-      AppendInt(&out, shard_plan_ops[s]);
-      out += '\n';
-    }
-  }
-
-  ExecStats exec_total;
-  for (const ExecStats& s : shard_stats) exec_total.Merge(s);
-  out += "exec[all]: " + exec_total.ToString() + '\n';
-  if (shard_stats.size() > 1) {
-    for (size_t s = 0; s < shard_stats.size(); ++s) {
-      out += "exec[shard" + std::to_string(s) + "]: " +
-             shard_stats[s].ToString() + '\n';
-    }
-  }
   return out;
 }
 

@@ -153,20 +153,4 @@ LatencyHistogram::Snapshot MetricsRegistry::AggregateSnapshot(
   return LatencyHistogram::FromBuckets(buckets.data(), count, sum, max_us);
 }
 
-std::string MetricsRegistry::RenderText() const {
-  std::ostringstream os;
-  for (int m = 0; m < kNumServiceMetrics; ++m) {
-    const ServiceMetric metric = static_cast<ServiceMetric>(m);
-    os << ServiceMetricName(metric) << ": "
-       << AggregateSnapshot(metric).ToString() << "\n";
-    if (num_shards_ > 1) {
-      for (int shard = 0; shard < num_shards_; ++shard) {
-        os << "  shard" << shard << ": "
-           << ShardSnapshot(metric, shard).ToString() << "\n";
-      }
-    }
-  }
-  return os.str();
-}
-
 }  // namespace qsys

@@ -113,11 +113,6 @@ class MetricsRegistry {
   /// The distribution summed over every shard.
   LatencyHistogram::Snapshot AggregateSnapshot(ServiceMetric metric) const;
 
-  /// Plain-text dump of every metric: the aggregate line, plus one line
-  /// per shard when there is more than one. The one-call snapshot used
-  /// by benches and examples.
-  std::string RenderText() const;
-
  private:
   const LatencyHistogram& Hist(ServiceMetric metric, int shard) const;
 

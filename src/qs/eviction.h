@@ -1,8 +1,10 @@
 // Cache-replacement policies for retained query state (§6.3).
 //
-// Two kinds of objects are cacheable: ranking queues holding pending
-// output tuples, and hash tables (plus probe caches and materialized
-// streams) of query subexpressions. Items unreferenced by running or
+// Two kinds of objects are cacheable: the hash tables in which m-join
+// modules buffer the tuples of query subexpressions, and the answer
+// caches of remote probe sources. (The paper also lists ranking queues;
+// here a rank-merge's queue lives and dies with its query, so it is
+// never offered to the policy.) Items unreferenced by running or
 // pending queries may be evicted under memory pressure. The paper found
 // LRU with size as a tie-breaker to work best; the alternatives are kept
 // for the ablation bench.
@@ -34,7 +36,7 @@ const char* EvictionPolicyName(EvictionPolicy p);
 
 /// \brief One evictable object, as seen by the policy.
 struct CacheItem {
-  enum class Kind { kHashTable, kProbeCache, kStream, kRankingQueue };
+  enum class Kind { kHashTable, kProbeCache };
   Kind kind = Kind::kHashTable;
   /// Identity for the owner to act on (expression signature etc.).
   std::string key;

@@ -1,6 +1,6 @@
 // The query state (QS) manager (§3, §6): the registry of retained
-// execution state — module hash tables, probe caches, materialized
-// streams — with pinning, memory accounting, and cache replacement.
+// execution state — module hash tables and probe caches — with
+// pinning, memory accounting, and cache replacement.
 //
 // The registry is what makes reuse work: the plan grafter looks up the
 // hash table holding a subexpression's previously streamed tuples to
@@ -78,7 +78,7 @@ class StateManager {
   /// waiting for the next batch-flush EnforceBudget call site.
   void set_memory_budget_bytes(int64_t b);
 
-  /// Total bytes across registered tables, probe caches and streams.
+  /// Total bytes across registered tables and probe caches.
   int64_t TotalCacheBytes() const;
 
   /// Enforces the budget: evicts unpinned, unreferenced items per the

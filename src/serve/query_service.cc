@@ -78,18 +78,18 @@ void QueryService::InstallShardFaultInjector(ShardFaultInjector* injector) {
 
 ExecStats QueryService::stats_snapshot() const {
   ExecStats total;
-  for (const auto& shard : shards_) total.Merge(shard->stats_snapshot());
+  for (const auto& shard : shards_) total.Merge(shard->stats().exec);
   return total;
 }
 
 void QueryService::AggregateSpillGauges() {
   // Serialized: concurrent shard executors each publish a sum, and
-  // StoreSpill writes six independent atomics — interleaving two sums
+  // StoreSpill writes eight independent atomics — interleaving two sums
   // would leave a torn (internally inconsistent) snapshot.
   std::lock_guard<std::mutex> lock(gauges_mu_);
   SpillStats sum;
   for (const auto& shard : shards_) {
-    SpillStats s = shard->spill_snapshot();
+    const SpillStats s = shard->stats().spill;
     sum.pages_written += s.pages_written;
     sum.pages_read += s.pages_read;
     sum.page_faults += s.page_faults;
@@ -156,7 +156,7 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
 Result<QueryTicket> QueryService::Submit(SessionId session,
                                          const std::string& keywords,
                                          const CandidateGenOptions& options) {
-  return Submit(session, keywords, options, /*deadline_ms=*/-1);
+  return Submit(session, keywords, options, /*deadline_ms=*/0);
 }
 
 std::shared_future<QueryOutcome> QueryService::RegisterInFlight(
@@ -206,9 +206,8 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
     counters_.rejected.fetch_add(1, std::memory_order_relaxed);
     return admitted;
   }
-  const int64_t ms =
-      deadline_ms < 0 ? options_.default_deadline_ms : deadline_ms;
-  const VirtualTime deadline_us = ms > 0 ? NowUs() + ms * 1000 : -1;
+  const VirtualTime deadline_us =
+      deadline_ms > 0 ? NowUs() + deadline_ms * 1000 : -1;
 
   // Every shard serves the same dataset, so route new traffic around a
   // failed home shard instead of bouncing off its closed queue. With no
@@ -679,17 +678,10 @@ Status QueryService::Shutdown(ShutdownMode mode) {
   return Status::OK();
 }
 
-std::vector<ExecStats> QueryService::ShardStatsVec() const {
-  std::vector<ExecStats> v;
+std::vector<ShardStats> QueryService::ShardStatsVec() const {
+  std::vector<ShardStats> v;
   v.reserve(shards_.size());
-  for (const auto& shard : shards_) v.push_back(shard->stats_snapshot());
-  return v;
-}
-
-std::vector<SpillStats> QueryService::ShardSpillVec() const {
-  std::vector<SpillStats> v;
-  v.reserve(shards_.size());
-  for (const auto& shard : shards_) v.push_back(shard->spill_snapshot());
+  for (const auto& shard : shards_) v.push_back(shard->stats());
   return v;
 }
 
@@ -700,28 +692,12 @@ std::vector<RouteStats> QueryService::ShardRoutesVec() const {
   return v;
 }
 
-std::vector<int64_t> QueryService::ShardPlanGraphOpsVec() const {
-  std::vector<int64_t> v;
-  v.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    v.push_back(shard->plan_graph_operators());
-  }
-  return v;
-}
-
-std::string QueryService::MetricsText() const {
-  return metrics_->RenderText() +
-         RenderCountersText(counters_, ShardStatsVec(), ShardSpillVec(),
-                            ShardRoutesVec(), ShardPlanGraphOpsVec());
-}
-
 std::string QueryService::MetricsPrometheus() const {
   return RenderPrometheus(*metrics_, counters_, ShardStatsVec(),
-                          ShardSpillVec(), ShardRoutesVec(),
-                          ShardPlanGraphOpsVec());
+                          ShardRoutesVec());
 }
 
-Status QueryService::CheckExplainable(int uq_id) const {
+Result<std::string> QueryService::Explain(int uq_id) const {
   if (journal_ == nullptr) {
     return Status::FailedPrecondition(
         "explain journal disabled (QConfig::explain_journal_queries == 0)");
@@ -732,17 +708,7 @@ Status QueryService::CheckExplainable(int uq_id) const {
         "retention window: uq=" +
         std::to_string(uq_id));
   }
-  return Status::OK();
-}
-
-Result<std::string> QueryService::Explain(int uq_id) const {
-  QSYS_RETURN_IF_ERROR(CheckExplainable(uq_id));
   return journal_->RenderText(uq_id);
-}
-
-Result<std::string> QueryService::ExplainJson(int uq_id) const {
-  QSYS_RETURN_IF_ERROR(CheckExplainable(uq_id));
-  return journal_->RenderJson(uq_id);
 }
 
 Result<std::string> QueryService::ExplainEngine() const {

@@ -44,13 +44,14 @@
 // independent ATCs out to a worker pool (multi-core epochs — see
 // src/shard/shard.h and src/core/atc_scheduler.h), keeping
 // flush/optimize/graft/evict serialized on itself; per-UQ answers are
-// byte-equivalent at every thread count. Client-visible counters cross
-// thread boundaries through the lock-free AtomicExecStats /
-// ServiceCounters mirrors in src/common/metrics.h. Time mapping: wall
-// microseconds since Start() form one virtual timeline shared by all
-// shards; execution inside an epoch runs as fast as the hardware allows
-// (injected wide-area delays advance ATC clocks without sleeping,
-// exactly as in the simulator).
+// byte-equivalent at every thread count. Client-visible numbers cross
+// thread boundaries as relaxed-atomic ServiceCounters and as each
+// shard's per-epoch ShardStats snapshot (src/common/metrics.h), and
+// leave the process as Prometheus text (MetricsPrometheus). Time
+// mapping: wall microseconds since Start() form one virtual timeline
+// shared by all shards; execution inside an epoch runs as fast as the
+// hardware allows (injected wide-area delays advance ATC clocks
+// without sleeping, exactly as in the simulator).
 
 #ifndef QSYS_SERVE_QUERY_SERVICE_H_
 #define QSYS_SERVE_QUERY_SERVICE_H_
@@ -95,11 +96,6 @@ struct ServiceOptions {
 
   // ---- fault tolerance (docs/ARCHITECTURE.md "Fault tolerance") ----
 
-  /// Per-query deadline applied when Submit() is not given one
-  /// explicitly; 0 = no deadline. A query past its deadline resolves
-  /// kDeadlineExceeded at the next supervision pass — tickets never
-  /// hang.
-  int64_t default_deadline_ms = 0;
   /// Re-submissions after a shard failure, per query (0 = fail fast).
   int max_retries = 2;
   /// Exponential retry backoff: base_ms << (attempt-1), capped at
@@ -185,11 +181,11 @@ class QueryService {
   Result<QueryTicket> Submit(SessionId session, const std::string& keywords);
   Result<QueryTicket> Submit(SessionId session, const std::string& keywords,
                              const CandidateGenOptions& options);
-  /// Submit with an explicit deadline: `deadline_ms` < 0 uses
-  /// ServiceOptions::default_deadline_ms, 0 means no deadline. A query
-  /// past its deadline resolves kDeadlineExceeded (cheap best-effort
-  /// cancellation: its shard-side work may still run to completion and
-  /// be discarded).
+  /// Submit with a deadline of `deadline_ms` from now (<= 0, like the
+  /// shorter overloads: none). A query past its deadline resolves
+  /// kDeadlineExceeded at the next supervision pass, so its ticket
+  /// never hangs (cheap best-effort cancellation: its shard-side work
+  /// may still run to completion and be discarded).
   Result<QueryTicket> Submit(SessionId session, const std::string& keywords,
                              const CandidateGenOptions& options,
                              int64_t deadline_ms);
@@ -208,16 +204,16 @@ class QueryService {
   /// Lock-free admission/serving counters, aggregated over all shards.
   const ServiceCounters& counters() const { return counters_; }
 
-  /// Lock-free snapshot of the aggregate ExecStats over every shard as
-  /// of its last completed epoch (shared-work counters: tuples
-  /// streamed, probes issued, cache hits, ...).
+  /// The aggregate ExecStats over every shard as of its last completed
+  /// epoch (shared-work counters: tuples streamed, probes issued, cache
+  /// hits, ...).
   ExecStats stats_snapshot() const;
 
-  /// One shard's ExecStats snapshot.
-  ExecStats shard_stats(int i) const { return shards_[i]->stats_snapshot(); }
+  /// One shard's snapshot as of its last completed epoch.
+  ShardStats shard_stats(int i) const { return shards_[i]->stats(); }
 
   /// One shard's epoch count (service-wide total: counters().epochs).
-  int64_t shard_epochs(int i) const { return shards_[i]->epochs(); }
+  int64_t shard_epochs(int i) const { return shards_[i]->stats().epochs; }
 
   /// One shard's routing-decision counters: queries routed to it.
   RouteStats shard_routes(int i) const {
@@ -240,16 +236,12 @@ class QueryService {
   /// duration), per shard and aggregated. Always on; lock-free reads.
   const MetricsRegistry& metrics() const { return *metrics_; }
 
-  /// One-call plain-text snapshot of every number the service exports:
-  /// the latency distributions plus the ServiceCounters, spill gauges,
-  /// and per-shard ExecStats work counters — the bench/example
-  /// rendering of metrics().
-  std::string MetricsText() const;
-
-  /// The same surface in Prometheus text exposition format (see
-  /// src/obs/export.h): histogram summaries with shard labels, qsys_*
-  /// counters, spill gauges. Callable at any time from any thread; the
-  /// bench/example `--metrics-out=` flag writes one scrape to a file.
+  /// Every number the service exports, in Prometheus text exposition
+  /// format (see src/obs/export.h): the latency histograms as
+  /// summaries with shard labels, the qsys_* counters, and the
+  /// per-shard spill, plan-graph and ExecStats families. Callable at
+  /// any time from any thread; the bench/example `--metrics-out=` flag
+  /// writes one scrape to a file.
   std::string MetricsPrometheus() const;
 
   /// The trace collector, or nullptr when tracing is disabled
@@ -278,8 +270,6 @@ class QueryService {
   /// is unknown, unresolved, or already evicted from the retention
   /// window.
   Result<std::string> Explain(int uq_id) const;
-  /// The same journal as a single JSON object.
-  Result<std::string> ExplainJson(int uq_id) const;
   /// The engine-scope decision log (eviction passes, victim scoring,
   /// spill restores — decisions not attributable to one query), across
   /// all shards. kFailedPrecondition when the journal is disabled.
@@ -377,14 +367,9 @@ class QueryService {
   void SupervisorLoop();
   /// Re-aggregates spill gauges over all shards into counters_.
   void AggregateSpillGauges();
-  /// Shared Explain*/kFailedPrecondition gate (journal enabled, query
-  /// resolved and retained).
-  Status CheckExplainable(int uq_id) const;
-  /// Per-shard lock-free snapshots, indexed by shard id.
-  std::vector<ExecStats> ShardStatsVec() const;
-  std::vector<SpillStats> ShardSpillVec() const;
+  /// Per-shard snapshots, indexed by shard id.
+  std::vector<ShardStats> ShardStatsVec() const;
   std::vector<RouteStats> ShardRoutesVec() const;
-  std::vector<int64_t> ShardPlanGraphOpsVec() const;
 
   ServiceOptions options_;
   /// Observability sinks, shared by every shard. Declared before (and

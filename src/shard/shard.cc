@@ -42,9 +42,9 @@ Status EngineShard::Start(Clock::time_point start_wall, bool manual) {
   if (!engine_->finalized()) {
     return Status::FailedPrecondition("catalog not finalized");
   }
-  // Completed queries flow: ATC drain worker -> lock-free MPSC
-  // completion queue -> this sink, which the engine invokes while the
-  // executor (coordinator) thread drains the queue inside Drain. The
+  // Completed queries flow: ATC drain worker -> its ATC's completion
+  // list -> this sink, which the engine invokes while the executor
+  // (coordinator) thread empties the lists inside Drain. The
   // sink also keeps a long-lived shard from accumulating per-query
   // history. The record owns a snapshot of the ranked answers (the
   // merge itself is already retired), so the callback just borrows
@@ -184,10 +184,15 @@ void EngineShard::IngestRequests(std::vector<ShardRequest> requests) {
 }
 
 void EngineShard::PublishStatsLocked() {
-  atomic_stats_.Store(engine_->aggregate_stats());
-  gauges_.StoreSpill(engine_->spill_stats());
-  plan_graph_operators_.store(engine_->plan_graph_operators(),
-                              std::memory_order_relaxed);
+  ShardStats s;
+  s.exec = engine_->aggregate_stats();
+  s.spill = engine_->spill_stats();
+  s.plan_graph_operators = engine_->plan_graph_operators();
+  s.epochs = epochs_;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_ = s;
+  }
   if (stats_listener_) stats_listener_();
 }
 
@@ -239,16 +244,12 @@ bool EngineShard::RunDueEpochs(bool drain_partial) {
     PublishStatsLocked();
     return false;
   }
-  if (out.value().flushes > 0) {
-    gauges_.batches_flushed.fetch_add(out.value().flushes,
-                                      std::memory_order_relaxed);
-    if (service_counters_ != nullptr) {
-      service_counters_->batches_flushed.fetch_add(
-          out.value().flushes, std::memory_order_relaxed);
-    }
+  if (out.value().flushes > 0 && service_counters_ != nullptr) {
+    service_counters_->batches_flushed.fetch_add(
+        out.value().flushes, std::memory_order_relaxed);
   }
   if (out.value().worked) {
-    gauges_.epochs.fetch_add(1, std::memory_order_relaxed);
+    ++epochs_;
     if (service_counters_ != nullptr) {
       service_counters_->epochs.fetch_add(1, std::memory_order_relaxed);
     }

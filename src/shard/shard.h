@@ -1,7 +1,7 @@
 // One serving shard: an independent Engine plus everything needed to
 // drive it concurrently — a bounded MPSC submit queue, a dedicated
-// executor thread running shared-execution epochs, per-shard lock-free
-// stats mirrors, and the per-engine coarse lock.
+// executor thread running shared-execution epochs, the per-epoch
+// ShardStats snapshot, and the per-engine coarse lock.
 //
 // The sharded QueryService (src/serve/query_service.h) owns N of these.
 // Each shard is the PR-1 single-engine serving loop, factored out so it
@@ -20,8 +20,11 @@
 // (QConfig::exec_threads, each ATC under its own lock) and keeps every
 // cross-ATC structure — batcher, optimizer, grafter, state registry,
 // spill tier — serialized on the executor thread. Completion and
-// shard-finished callbacks fire on the executor thread (completions
-// travel worker -> coordinator over a lock-free MPSC queue first).
+// shard-finished callbacks fire on the executor thread (a drain worker
+// first appends each completion to its ATC's list, which the executor
+// empties after the drain barrier). After each epoch the executor
+// publishes one ShardStats copy under a small mutex, so any thread
+// reads a consistent epoch without touching the engine.
 
 #ifndef QSYS_SHARD_SHARD_H_
 #define QSYS_SHARD_SHARD_H_
@@ -205,23 +208,13 @@ class EngineShard {
   /// QueryService::Shutdown does so explicitly.
   void AbandonExecutor();
 
-  // ---- lock-free observability (any thread) ----
+  // ---- observability (any thread) ----
 
-  /// Engine ExecStats as of the last completed epoch.
-  ExecStats stats_snapshot() const { return atomic_stats_.Load(); }
-  /// Spill-tier gauges as of the last completed epoch.
-  SpillStats spill_snapshot() const { return gauges_.LoadSpill(); }
-  /// Engine::plan_graph_operators() as of the last completed epoch.
-  int64_t plan_graph_operators() const {
-    return plan_graph_operators_.load(std::memory_order_relaxed);
-  }
-  /// Shared-execution epochs this shard has driven.
-  int64_t epochs() const {
-    return gauges_.epochs.load(std::memory_order_relaxed);
-  }
-  /// Batches flushed to this shard's optimizer.
-  int64_t batches_flushed() const {
-    return gauges_.batches_flushed.load(std::memory_order_relaxed);
+  /// The engine's work counters, spill gauges and plan-graph size as of
+  /// the last completed epoch, with the epochs this shard has driven.
+  ShardStats stats() const {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    return stats_;
   }
 
   /// Wall microseconds since the service's Start().
@@ -235,7 +228,7 @@ class EngineShard {
   /// Flushes every due batch and drains all ATC work (one epoch).
   /// Returns false after an engine failure.
   bool RunDueEpochs(bool drain_partial);
-  /// Publishes stats/gauges (caller holds engine_mu_).
+  /// Publishes the ShardStats snapshot (caller holds engine_mu_).
   void PublishStatsLocked();
   void SetTerminal(const Status& status);
   void MarkExecutorDone();
@@ -283,11 +276,13 @@ class EngineShard {
   std::mutex done_mu_;
   std::condition_variable done_cv_;
 
-  /// Per-shard mirrors (epochs/batches/spill); the service-wide totals
-  /// accumulate into service_counters_.
-  ServiceCounters gauges_;
-  AtomicExecStats atomic_stats_;
-  std::atomic<int64_t> plan_graph_operators_{0};
+  /// Epochs this shard has driven, across restarts (executor thread,
+  /// under engine_mu_); the service-wide total accumulates into
+  /// service_counters_.
+  int64_t epochs_ = 0;
+  /// Guards stats_, the snapshot PublishStatsLocked copies out.
+  mutable std::mutex stats_mu_;
+  ShardStats stats_;
 };
 
 }  // namespace qsys

@@ -59,16 +59,6 @@ std::vector<std::string> WorkloadQueries(uint64_t seed, int n) {
 /// instead of spinning forever.
 constexpr int kMaxPumpSpins = 10'000;
 
-/// Extracts `<key>=<value>` from the "counters: ..." line of
-/// MetricsText. Returns -1 when absent (which the conservation check
-/// then reports).
-int64_t TextCounter(const std::string& text, const std::string& key) {
-  const std::string needle = " " + key + "=";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) return -1;
-  return std::strtoll(text.c_str() + pos + needle.size(), nullptr, 10);
-}
-
 /// Extracts the value of an unlabeled `qsys_<name>_total <v>` sample
 /// from a Prometheus exposition. Returns -1 when absent.
 int64_t PromCounter(const std::string& text, const std::string& name) {
@@ -78,10 +68,9 @@ int64_t PromCounter(const std::string& text, const std::string& name) {
   return std::strtoll(text.c_str() + pos + needle.size(), nullptr, 10);
 }
 
-/// Cross-checks the three exports of the fault-tolerance counters
-/// (ServiceCounters atomics, the MetricsText "counters:" line, the
-/// Prometheus qsys_*_total families) and the resolution conservation
-/// law. Returns "" when consistent.
+/// Cross-checks the fault-tolerance counters in ServiceCounters against
+/// their Prometheus qsys_*_total families, and the resolution
+/// conservation law. Returns "" when consistent.
 std::string CheckCounterConservation(const QueryService& service) {
   const ServiceCounters& c = service.counters();
   const auto v = [](const std::atomic<int64_t>& a) {
@@ -97,24 +86,20 @@ std::string CheckCounterConservation(const QueryService& service) {
            " != completed+cancelled+deadline_exceeded+failed=" +
            std::to_string(resolved);
   }
-  const std::string text = service.MetricsText();
   const std::string prom = service.MetricsPrometheus();
   const struct {
-    const char* text_key;
     const char* prom_name;
     int64_t value;
   } kFamilies[] = {
-      {"retries", "query_retries", v(c.retries)},
-      {"deadline_exceeded", "deadline_exceeded", v(c.deadline_exceeded)},
-      {"shard_restarts", "shard_restarts", v(c.shard_restarts)},
+      {"query_retries", v(c.retries)},
+      {"deadline_exceeded", v(c.deadline_exceeded)},
+      {"shard_restarts", v(c.shard_restarts)},
   };
   for (const auto& f : kFamilies) {
-    const int64_t in_text = TextCounter(text, f.text_key);
     const int64_t in_prom = PromCounter(prom, f.prom_name);
-    if (in_text != f.value || in_prom != f.value) {
+    if (in_prom != f.value) {
       return std::string(f.prom_name) + ": ServiceCounters=" +
-             std::to_string(f.value) + " text=" + std::to_string(in_text) +
-             " prometheus=" + std::to_string(in_prom);
+             std::to_string(f.value) + " prometheus=" + std::to_string(in_prom);
     }
   }
   return "";

@@ -73,9 +73,9 @@ struct RunOutcome {
   int64_t shard_restarts = 0;
 
   /// Non-empty when the counter surface is inconsistent: the resolution
-  /// counters don't conserve submissions, or ServiceCounters,
-  /// MetricsText's "counters:" line, and the Prometheus qsys_*_total
-  /// families disagree. CheckScenario reports it as a divergence.
+  /// counters don't conserve submissions, or ServiceCounters and the
+  /// Prometheus qsys_*_total families disagree. CheckScenario reports
+  /// it as a divergence.
   std::string counter_error;
 
   /// Spill-tier gauges summed over all shards at shutdown.

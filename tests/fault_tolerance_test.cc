@@ -257,10 +257,9 @@ TEST(FaultToleranceTest, DeadlineExpiresWhileShardIsWedged) {
   EXPECT_TRUE(service.Shutdown().ok());
 }
 
-TEST(FaultToleranceTest, DefaultDeadlineAppliesAndExplicitZeroDisables) {
+TEST(FaultToleranceTest, ExplicitDeadlineAppliesAndZeroDisables) {
   ServiceOptions options = FaultTestOptions(1);
   options.stall_timeout_ms = 0;
-  options.default_deadline_ms = 5;
   QueryService service(options);
   ASSERT_TRUE(BuildTinyBioDataset(service.engine()).ok());
   ASSERT_TRUE(service.Start().ok());
@@ -271,26 +270,32 @@ TEST(FaultToleranceTest, DefaultDeadlineAppliesAndExplicitZeroDisables) {
   auto session = service.OpenSession("deadline");
   ASSERT_TRUE(session.ok());
 
-  // No explicit deadline: the service default (5 ms) applies.
-  auto defaulted = service.Submit(session.value(), "membrane gene");
-  ASSERT_TRUE(defaulted.ok());
-  // Explicit 0 overrides the default to "no deadline".
+  // An explicit 5 ms deadline applies.
+  auto bounded = service.Submit(session.value(), "membrane gene", {},
+                                /*deadline_ms=*/5);
+  ASSERT_TRUE(bounded.ok());
+  // 0 means "no deadline", as does the overload without one.
   auto unbounded = service.Submit(session.value(), "kinase pathway", {},
                                   /*deadline_ms=*/0);
   ASSERT_TRUE(unbounded.ok());
+  auto no_deadline = service.Submit(session.value(), "protein gene");
+  ASSERT_TRUE(no_deadline.ok());
 
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   ASSERT_TRUE(service.PumpOnce().ok());
-  EXPECT_EQ(defaulted.value().Wait().status.code(),
+  EXPECT_EQ(bounded.value().Wait().status.code(),
             StatusCode::kDeadlineExceeded);
   EXPECT_EQ(unbounded.value().future().wait_for(std::chrono::seconds(0)),
             std::future_status::timeout);
+  EXPECT_EQ(no_deadline.value().future().wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
 
-  // The un-deadlined query still resolves terminally — at shutdown.
+  // The un-deadlined queries still resolve terminally — at shutdown.
   injector.ReleaseStalls();
   EXPECT_TRUE(service.Shutdown(QueryService::ShutdownMode::kCancelPending)
                   .ok());
   EXPECT_FALSE(unbounded.value().Wait().status.ok());
+  EXPECT_FALSE(no_deadline.value().Wait().status.ok());
 }
 
 TEST(FaultToleranceTest, DeadlineBeatsRetryBackoff) {

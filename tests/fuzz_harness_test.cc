@@ -279,7 +279,7 @@ TEST(FuzzHarnessTest, SeedSweepFindsNoDivergence) {
 //   * every OK answer stays byte-equivalent to the oracle, even when
 //     it was retried onto another shard;
 //   * the counter surface conserves (submitted == resolved) and agrees
-//     across ServiceCounters, MetricsText, and the Prometheus export.
+//     between ServiceCounters and the Prometheus export.
 TEST(FuzzHarnessTest, FaultSweepFindsNoUnflaggedDivergence) {
   const int scenarios = EnvInt("QSYS_FAULT_SCENARIOS", 6);
   const int seed_base = EnvInt("QSYS_FAULT_SEED_BASE", 1);

@@ -146,12 +146,6 @@ TEST(ObsHistogramTest, RegistryAggregatesAcrossShards) {
   EXPECT_EQ(agg.max_us, 500000);
   // Other metrics are untouched.
   EXPECT_EQ(reg.AggregateSnapshot(ServiceMetric::kEndToEndLatency).count, 0);
-  // The text rendering names every metric.
-  std::string text = reg.RenderText();
-  for (int m = 0; m < kNumServiceMetrics; ++m) {
-    EXPECT_NE(text.find(ServiceMetricName(static_cast<ServiceMetric>(m))),
-              std::string::npos);
-  }
 }
 
 // ---- Tracer ring buffer ----
@@ -539,7 +533,7 @@ TEST(ObsServeTest, TracingDisabledByDefaultAndDumpFails) {
 // The static_asserts in src/common/metrics.h pin the field *counts*;
 // these tests pin the hand-written enumerations themselves: fill every
 // 8-byte word with a distinct pattern and check nothing is dropped,
-// duplicated, or transposed crossing the mirror.
+// duplicated, or transposed by the merge or the spill-gauge mirror.
 
 ExecStats PatternedExecStats(int64_t base) {
   ExecStats s;
@@ -547,15 +541,6 @@ ExecStats PatternedExecStats(int64_t base) {
   const int n = sizeof(ExecStats) / sizeof(int64_t);
   for (int i = 0; i < n; ++i) words[i] = base + i;
   return s;
-}
-
-TEST(ObsMirrorTest, AtomicExecStatsRoundTripsEveryField) {
-  ExecStats in = PatternedExecStats(1000);
-  AtomicExecStats atomic_stats;
-  atomic_stats.Store(in);
-  ExecStats out = atomic_stats.Load();
-  EXPECT_EQ(std::memcmp(&in, &out, sizeof(ExecStats)), 0)
-      << "AtomicExecStats::Store/Load dropped or transposed a field";
 }
 
 TEST(ObsMirrorTest, ExecStatsMergeCoversEveryField) {

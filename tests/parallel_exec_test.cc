@@ -1,6 +1,6 @@
 // Multi-core epochs (intra-shard parallelism): byte-equivalence of
-// parallel ATC execution, the lock-free MPSC completion queue, the
-// replay watermark, and the spill tier's background write-back.
+// parallel ATC execution, the replay watermark, and the spill tier's
+// background write-back.
 //
 // The acceptance bar of the parallel executor is *byte-equivalence*:
 // per-UQ top-k answers must be identical to the single-threaded run at
@@ -14,14 +14,12 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "src/buffer/spill_manager.h"
-#include "src/common/mpsc_queue.h"
 #include "src/serve/query_service.h"
 #include "src/workload/bio_terms.h"
 #include "src/workload/gus.h"
@@ -34,68 +32,7 @@ namespace {
 using ::qsys::testing::BuildTinyBioDataset;
 using ::qsys::testing::FastTestConfig;
 
-// ---- the completion queue ----
-
-TEST(MpscQueueTest, SingleThreadFifo) {
-  MpscQueue<int> q;
-  EXPECT_TRUE(q.Empty());
-  EXPECT_FALSE(q.Pop().has_value());
-  for (int i = 0; i < 100; ++i) q.Push(i);
-  EXPECT_FALSE(q.Empty());
-  for (int i = 0; i < 100; ++i) {
-    auto v = q.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.Pop().has_value());
-  EXPECT_TRUE(q.Empty());
-}
-
-// The ordering contract completed-result delivery relies on: under
-// concurrent producers nothing is lost and each producer's items come
-// out in push order (cross-producer interleaving is unspecified).
-TEST(MpscQueueTest, PerProducerFifoUnderConcurrentProducers) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  struct Item {
-    int producer = 0;
-    int seq = 0;
-  };
-  MpscQueue<Item> q;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, &go, p] {
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      for (int i = 0; i < kPerProducer; ++i) q.Push(Item{p, i});
-    });
-  }
-  go.store(true, std::memory_order_release);
-  // Consume concurrently with production (single consumer = this
-  // thread), spinning through transient emptiness.
-  std::vector<int> next_seq(kProducers, 0);
-  int received = 0;
-  while (received < kProducers * kPerProducer) {
-    auto item = q.Pop();
-    if (!item.has_value()) {
-      std::this_thread::yield();
-      continue;
-    }
-    ASSERT_GE(item->producer, 0);
-    ASSERT_LT(item->producer, kProducers);
-    // Per-producer FIFO: exactly the next sequence number.
-    EXPECT_EQ(item->seq, next_seq[item->producer]);
-    next_seq[item->producer] += 1;
-    received += 1;
-  }
-  for (std::thread& t : producers) t.join();
-  EXPECT_FALSE(q.Pop().has_value());
-  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_seq[p], kPerProducer);
-}
-
 // ---- differential harness (the shard_test/temporal_reuse_test shape) --
-
 
 QConfig GusConfig() {
   QConfig config;

@@ -2,11 +2,13 @@
 // QueryService): router determinism, the canonical result order,
 // sharded-vs-single-engine differential equivalence (per-UQ top-k
 // byte-equivalent across shard counts, every answer in canonical order
-// and at most k long), and multi-shard drain/cancel shutdown.
+// and at most k long), multi-shard drain/cancel shutdown, and the
+// per-shard stats snapshots adding up to the service totals.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <set>
@@ -354,6 +356,111 @@ TEST(ShardedServiceTest, StartRejectsShardsPopulatedOnTheirOwn) {
   ASSERT_TRUE(BuildTinyBioDataset(service.shard_engine(0)).ok());
   ASSERT_TRUE(BuildTinyBioDataset(service.shard_engine(1)).ok());
   EXPECT_EQ(service.Start().code(), StatusCode::kFailedPrecondition);
+}
+
+// ---- sharded service: per-shard snapshots ----
+
+/// The value of the `qsys_<family>{shard="<shard>"}` sample in a
+/// Prometheus exposition; -1 when absent.
+int64_t ShardSample(const std::string& prom, const std::string& family,
+                    int shard) {
+  const std::string needle = "\nqsys_" + family + "{shard=\"" +
+                             std::to_string(shard) + "\"} ";
+  const size_t pos = prom.find(needle);
+  if (pos == std::string::npos) return -1;
+  return std::strtoll(prom.c_str() + pos + needle.size(), nullptr, 10);
+}
+
+TEST(ShardedServiceTest, PerShardSnapshotsAddUpToServiceTotals) {
+  constexpr int kShards = 2;
+  ServiceOptions options;
+  options.config = FastTestConfig();
+  options.config.num_shards = kShards;
+  // A budget far below the working set, with the spill tier on, so the
+  // spill gauges move on the shards that serve.
+  options.config.memory_budget_bytes = 512;
+  options.config.spill_dir =
+      ::testing::TempDir() + "qsys_shard_snapshot_test";
+  options.config.spill_pool_frames = 4;
+  options.manual_pump = true;
+  QueryService service(options);
+  ASSERT_TRUE(service
+                  .BuildEachEngine(
+                      [](Engine& e) { return BuildTinyBioDataset(e); })
+                  .ok());
+  ASSERT_TRUE(service.Start().ok());
+  auto session = service.OpenSession("snapshots");
+  ASSERT_TRUE(session.ok());
+  const std::vector<std::string> queries = {
+      "membrane gene",  "kinase pathway",     "membrane transport",
+      "kinase gene",    "receptor transport", "membrane gene",
+      "kinase pathway", "membrane transport"};
+  std::set<int> homes;
+  std::vector<QueryTicket> tickets;
+  for (const std::string& q : queries) {
+    homes.insert(service.router().Route(q));
+    auto ticket = service.Submit(session.value(), q);
+    ASSERT_TRUE(ticket.ok()) << q;
+    ASSERT_TRUE(service.PumpOnce().ok());
+    tickets.push_back(ticket.value());
+  }
+  ASSERT_EQ(homes.size(), static_cast<size_t>(kShards))
+      << "the workload must reach every shard";
+  ASSERT_TRUE(service.Shutdown(QueryService::ShutdownMode::kDrain).ok());
+  for (QueryTicket& t : tickets) ASSERT_TRUE(t.Wait().status.ok());
+
+  // The per-shard epoch counts sum to the service total, and the
+  // per-shard work counters merge to the service snapshot in every
+  // field.
+  int64_t epochs = 0;
+  ExecStats merged;
+  for (int s = 0; s < kShards; ++s) {
+    EXPECT_GT(service.shard_epochs(s), 0) << "shard " << s;
+    epochs += service.shard_epochs(s);
+    merged.Merge(service.shard_stats(s).exec);
+  }
+  EXPECT_EQ(epochs, service.counters().epochs.load());
+  const ExecStats total = service.stats_snapshot();
+  EXPECT_GT(total.tuples_streamed, 0);
+  EXPECT_EQ(std::memcmp(&merged, &total, sizeof(ExecStats)), 0);
+
+  // The service's spill gauges are the sum of the per-shard samples.
+  const std::string prom = service.MetricsPrometheus();
+  const SpillStats spill = service.counters().LoadSpill();
+  EXPECT_GT(spill.items_spilled, 0);
+  const struct {
+    const char* family;
+    int64_t total;
+  } kSpillFamilies[] = {
+      {"spill_pages_written", spill.pages_written},
+      {"spill_pages_read", spill.pages_read},
+      {"spill_page_faults", spill.page_faults},
+      {"spill_items_spilled", spill.items_spilled},
+      {"spill_items_restored", spill.items_restored},
+      {"spill_bytes_on_disk", spill.bytes_on_disk},
+      {"spill_io_faults", spill.spill_faults},
+      {"spill_read_retry_waits", spill.read_retry_waits},
+  };
+  for (const auto& f : kSpillFamilies) {
+    int64_t sum = 0;
+    for (int s = 0; s < kShards; ++s) {
+      const int64_t sample = ShardSample(prom, f.family, s);
+      EXPECT_GE(sample, 0) << f.family << " shard " << s;
+      sum += sample;
+    }
+    EXPECT_EQ(sum, f.total) << f.family;
+  }
+
+  // Each shard's exported samples are its own snapshot.
+  for (int s = 0; s < kShards; ++s) {
+    const ShardStats shard = service.shard_stats(s);
+    EXPECT_EQ(ShardSample(prom, "exec_tuples_streamed_total", s),
+              shard.exec.tuples_streamed)
+        << "shard " << s;
+    EXPECT_EQ(ShardSample(prom, "plan_graph_operators", s),
+              shard.plan_graph_operators)
+        << "shard " << s;
+  }
 }
 
 }  // namespace
