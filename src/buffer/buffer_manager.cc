@@ -14,12 +14,6 @@ BufferManager::BufferManager(int frame_count) {
   }
 }
 
-void BufferManager::AttachSegment(uint8_t segment, SegmentFile* file) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (segments_.size() <= segment) segments_.resize(segment + size_t{1});
-  segments_[segment] = file;
-}
-
 Result<int> BufferManager::AcquireFrame() {
   if (!free_frames_.empty()) {
     int idx = free_frames_.back();
@@ -40,8 +34,9 @@ Result<int> BufferManager::AcquireFrame() {
       continue;
     }
     if (f.dirty) {
-      SegmentFile* seg = segments_[PageSegment(f.id)];
-      QSYS_RETURN_IF_ERROR(seg->WritePage(PageNumber(f.id), f.data.get()));
+      // A failed write leaves the victim resident and dirty: nothing is
+      // lost, and a later sweep retries it.
+      QSYS_RETURN_IF_ERROR(segment_->WritePage(f.id, f.data.get()));
       ++pages_written_;
       f.dirty = false;
     }
@@ -53,19 +48,17 @@ Result<int> BufferManager::AcquireFrame() {
       "buffer pool exhausted: every frame is pinned");
 }
 
-Result<BufferManager::AllocatedPage> BufferManager::NewPage(
-    uint8_t segment) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!HasSegment(segment)) {
-    return Status::InvalidArgument("no segment attached for spill class");
+Result<BufferManager::AllocatedPage> BufferManager::NewPage() {
+  if (segment_ == nullptr) {
+    return Status::InvalidArgument("no segment attached to the pool");
   }
   auto frame = AcquireFrame();
   QSYS_RETURN_IF_ERROR(frame.status());
-  PageId id = MakePageId(segment, segments_[segment]->AllocatePage());
+  PageId id = segment_->AllocatePage();
   Frame& f = frames_[static_cast<size_t>(frame.value())];
   f.id = id;
   f.pins = 1;
-  f.dirty = true;  // a fresh page always gets written
+  f.dirty = true;  // written if its frame is ever recycled
   f.referenced = true;
   std::memset(f.data.get(), 0, kPageSize);
   frame_of_[id] = frame.value();
@@ -73,7 +66,6 @@ Result<BufferManager::AllocatedPage> BufferManager::NewPage(
 }
 
 Result<uint8_t*> BufferManager::Pin(PageId id) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = frame_of_.find(id);
   if (it != frame_of_.end()) {
     Frame& f = frames_[static_cast<size_t>(it->second)];
@@ -81,20 +73,18 @@ Result<uint8_t*> BufferManager::Pin(PageId id) {
     f.referenced = true;
     return f.data.get();
   }
-  uint8_t seg_idx = PageSegment(id);
-  if (!HasSegment(seg_idx)) {
-    return Status::InvalidArgument("pin of page in unattached segment");
+  if (segment_ == nullptr) {
+    return Status::InvalidArgument("pin with no segment attached");
   }
   auto frame = AcquireFrame();
   QSYS_RETURN_IF_ERROR(frame.status());
   Frame& f = frames_[static_cast<size_t>(frame.value())];
-  Status read = segments_[seg_idx]->ReadPage(PageNumber(id), f.data.get());
+  Status read = segment_->ReadPage(id, f.data.get());
   if (!read.ok()) {
     free_frames_.push_back(frame.value());
     return read;
   }
   ++pages_read_;
-  ++faults_;
   f.id = id;
   f.pins = 1;
   f.dirty = false;
@@ -104,7 +94,6 @@ Result<uint8_t*> BufferManager::Pin(PageId id) {
 }
 
 void BufferManager::Unpin(PageId id, bool dirty) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = frame_of_.find(id);
   if (it == frame_of_.end()) return;
   Frame& f = frames_[static_cast<size_t>(it->second)];
@@ -113,7 +102,6 @@ void BufferManager::Unpin(PageId id, bool dirty) {
 }
 
 Status BufferManager::Free(PageId id) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = frame_of_.find(id);
   if (it != frame_of_.end()) {
     Frame& f = frames_[static_cast<size_t>(it->second)];
@@ -125,32 +113,7 @@ Status BufferManager::Free(PageId id) {
     free_frames_.push_back(it->second);
     frame_of_.erase(it);
   }
-  segments_[PageSegment(id)]->FreePage(PageNumber(id));
-  return Status::OK();
-}
-
-Status BufferManager::WriteBack(PageId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = frame_of_.find(id);
-  if (it == frame_of_.end()) return Status::OK();  // evicted = written
-  Frame& f = frames_[static_cast<size_t>(it->second)];
-  if (!f.dirty || f.pins > 0) return Status::OK();
-  SegmentFile* seg = segments_[PageSegment(f.id)];
-  QSYS_RETURN_IF_ERROR(seg->WritePage(PageNumber(f.id), f.data.get()));
-  ++pages_written_;
-  f.dirty = false;
-  return Status::OK();
-}
-
-Status BufferManager::FlushAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Frame& f : frames_) {
-    if (f.id == kInvalidPageId || !f.dirty) continue;
-    SegmentFile* seg = segments_[PageSegment(f.id)];
-    QSYS_RETURN_IF_ERROR(seg->WritePage(PageNumber(f.id), f.data.get()));
-    ++pages_written_;
-    f.dirty = false;
-  }
+  segment_->FreePage(id);
   return Status::OK();
 }
 

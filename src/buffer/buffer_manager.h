@@ -1,25 +1,24 @@
 // BufferManager: a fixed pool of in-memory frames fronting the spill
-// segments (the leanstore shape, radically simplified).
+// segment file (the leanstore shape, radically simplified).
 //
 // Pages are pinned while a caller reads or writes their frame, marked
-// dirty when modified, and written back to their segment file lazily:
-// when the clock replacement sweep needs the frame for another page,
-// when the spill tier's background writer cleans them (WriteBack), or
-// on FlushAll. Faulting a non-resident page back in costs one segment
-// read. All counters feed the spill metrics surfaced by the state
-// manager and the serving layer.
+// dirty when modified, and written to the segment file only when the
+// clock replacement sweep recycles their frame for another page. A page
+// freed while still resident (restored or superseded before its frame
+// was needed) is therefore never written at all. Faulting a
+// non-resident page back in costs one segment read. The counters feed
+// the spill metrics surfaced by the state manager and the serving
+// layer.
 //
-// Thread safety: every public operation locks one internal mutex. Two
-// threads touch a pool — the engine's executor (spill/restore on the
-// serialized flush path) and the SpillManager's background write-back
-// thread — and the mutex also orders their calls into the underlying
-// SegmentFiles.
+// Thread safety: none of its own. The pool's one owner is a
+// SpillManager, which makes every pool call under SpillManager::mu_, on
+// the calling thread; that mutex also orders the pool's calls into the
+// segment file.
 
 #ifndef QSYS_BUFFER_BUFFER_MANAGER_H_
 #define QSYS_BUFFER_BUFFER_MANAGER_H_
 
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -30,7 +29,7 @@
 namespace qsys {
 
 /// \brief Fixed-size frame pool with clock replacement over the pages
-/// of any number of attached segment files.
+/// of one segment file.
 class BufferManager {
  public:
   /// `frame_count` frames of kPageSize bytes each are allocated up
@@ -40,12 +39,9 @@ class BufferManager {
   BufferManager(const BufferManager&) = delete;
   BufferManager& operator=(const BufferManager&) = delete;
 
-  /// Registers `file` as the backing store of segment `segment`.
-  /// The file must outlive the manager.
-  void AttachSegment(uint8_t segment, SegmentFile* file);
-  bool HasSegment(uint8_t segment) const {
-    return segment < segments_.size() && segments_[segment] != nullptr;
-  }
+  /// Makes `file` the pool's backing store. The file must outlive the
+  /// manager.
+  void Attach(SegmentFile* file) { segment_ = file; }
 
   /// A freshly allocated page with its frame pinned exactly once.
   struct AllocatedPage {
@@ -54,13 +50,13 @@ class BufferManager {
     uint8_t* frame = nullptr;
   };
 
-  /// Allocates a fresh page in `segment` and pins its (zeroed) frame.
-  /// The caller fills `frame`, then calls Unpin(id, /*dirty=*/true)
-  /// exactly once.
-  Result<AllocatedPage> NewPage(uint8_t segment);
+  /// Allocates a fresh page and pins its (zeroed) frame. The caller
+  /// fills `frame`, then calls Unpin(id, /*dirty=*/true) exactly once.
+  Result<AllocatedPage> NewPage();
 
-  /// Pins the page's frame, faulting it in from its segment if not
-  /// resident. Fails when every frame is pinned (pool exhausted).
+  /// Pins the page's frame, faulting it in from the segment if not
+  /// resident. Fails when every frame is pinned (pool exhausted) or
+  /// when writing back the recycled frame's dirty page fails.
   Result<uint8_t*> Pin(PageId id);
 
   /// Releases one pin; `dirty` records that the frame was modified and
@@ -72,41 +68,14 @@ class BufferManager {
   /// must not be pinned.
   Status Free(PageId id);
 
-  /// Writes every dirty resident page back to its segment.
-  Status FlushAll();
-
-  /// Writes `id`'s frame back to its segment and marks it clean — if
-  /// the page is resident, dirty, and unpinned; a no-op otherwise
-  /// (non-resident means an eviction already wrote it; pinned means a
-  /// writer is still filling it and its own write-back is queued
-  /// behind the pin). The background write-back path: cleaning frames
-  /// off the executor thread so the clock sweep finds clean victims
-  /// and never does disk I/O on the serving path.
-  Status WriteBack(PageId id);
-
   int frame_count() const { return static_cast<int>(frames_.size()); }
-  int resident_pages() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<int>(frame_of_.size());
-  }
 
   // ---- counters (spill observability) ----
 
-  /// Pages written back to disk (evictions + write-backs + flushes).
-  int64_t pages_written() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return pages_written_;
-  }
-  /// Pages read back from disk (faults).
-  int64_t pages_read() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return pages_read_;
-  }
-  /// Pin() calls that missed the pool and had to read the segment.
-  int64_t faults() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return faults_;
-  }
+  /// Pages written to disk (dirty frames recycled by the clock sweep).
+  int64_t pages_written() const { return pages_written_; }
+  /// Pages read back from disk (Pin() calls that missed the pool).
+  int64_t pages_read() const { return pages_read_; }
 
  private:
   struct Frame {
@@ -118,18 +87,15 @@ class BufferManager {
   };
 
   /// A frame holding no page, evicting an unpinned victim if needed.
-  /// Caller holds mu_.
   Result<int> AcquireFrame();
 
-  mutable std::mutex mu_;
   std::vector<Frame> frames_;
   std::vector<int> free_frames_;
   std::unordered_map<PageId, int> frame_of_;
-  std::vector<SegmentFile*> segments_;
+  SegmentFile* segment_ = nullptr;
   size_t clock_hand_ = 0;
   int64_t pages_written_ = 0;
   int64_t pages_read_ = 0;
-  int64_t faults_ = 0;
 };
 
 }  // namespace qsys

@@ -37,8 +37,9 @@ class SegmentFaultInjector {
   virtual ~SegmentFaultInjector() = default;
 
   /// Consulted by SegmentFile immediately before the raw syscall.
-  /// Called under the owning buffer pool's mutex — implementations
-  /// shared across engines must synchronize internally.
+  /// Called under the owning SpillManager's mutex (SpillManager::mu_)
+  /// — implementations shared across engines must synchronize
+  /// internally.
   virtual Fault Next(Op op) = 0;
 };
 

@@ -1,11 +1,9 @@
 // Pages: the unit of the disk-spill tier (src/buffer/).
 //
-// Evicted query state is serialized into fixed-size pages addressed by
-// PageId and staged through a small pool of in-memory frames
-// (BufferManager). A PageId encodes the spill class (which SegmentFile
-// holds the page) in its top byte and the page number within that
-// segment in the remaining 56 bits, so one buffer pool can front any
-// number of segment files.
+// Evicted query state is serialized into fixed-size pages of one
+// segment file and staged through a small pool of in-memory frames
+// (BufferManager). Hash tables and probe caches share that file, so a
+// PageId is simply the page's number within it.
 
 #ifndef QSYS_BUFFER_PAGE_H_
 #define QSYS_BUFFER_PAGE_H_
@@ -19,24 +17,10 @@ namespace qsys {
 /// buffer pool stays far below the query-state memory budget it backs.
 constexpr int64_t kPageSize = 16 * 1024;
 
-/// Globally unique page address: top 8 bits = segment (spill class),
-/// low 56 bits = page number within the segment.
+/// Page address: the page number within the spill segment file.
 using PageId = uint64_t;
 
 constexpr PageId kInvalidPageId = ~PageId{0};
-
-constexpr PageId MakePageId(uint8_t segment, uint64_t page_no) {
-  return (static_cast<PageId>(segment) << 56) |
-         (page_no & ((PageId{1} << 56) - 1));
-}
-
-constexpr uint8_t PageSegment(PageId id) {
-  return static_cast<uint8_t>(id >> 56);
-}
-
-constexpr uint64_t PageNumber(PageId id) {
-  return id & ((PageId{1} << 56) - 1);
-}
 
 }  // namespace qsys
 

@@ -32,21 +32,21 @@ SegmentFile::~SegmentFile() {
   ::unlink(path_.c_str());  // scratch storage: nothing survives the run
 }
 
-uint64_t SegmentFile::AllocatePage() {
+PageId SegmentFile::AllocatePage() {
   if (!free_.empty()) {
-    uint64_t page = free_.back();
+    PageId page = free_.back();
     free_.pop_back();
     return page;
   }
   return next_page_++;
 }
 
-void SegmentFile::FreePage(uint64_t page_no) { free_.push_back(page_no); }
+void SegmentFile::FreePage(PageId page) { free_.push_back(page); }
 
-Status SegmentFile::WritePage(uint64_t page_no, const void* data) {
+Status SegmentFile::WritePage(PageId page, const void* data) {
   const char* p = static_cast<const char*>(data);
   int64_t remaining = kPageSize;
-  off_t offset = static_cast<off_t>(page_no) * kPageSize;
+  off_t offset = static_cast<off_t>(page) * kPageSize;
   while (remaining > 0) {
     size_t want = static_cast<size_t>(remaining);
     if (injector_ != nullptr) {
@@ -74,10 +74,10 @@ Status SegmentFile::WritePage(uint64_t page_no, const void* data) {
   return Status::OK();
 }
 
-Status SegmentFile::ReadPage(uint64_t page_no, void* data) const {
+Status SegmentFile::ReadPage(PageId page, void* data) const {
   char* p = static_cast<char*>(data);
   int64_t remaining = kPageSize;
-  off_t offset = static_cast<off_t>(page_no) * kPageSize;
+  off_t offset = static_cast<off_t>(page) * kPageSize;
   while (remaining > 0) {
     size_t want = static_cast<size_t>(remaining);
     if (injector_ != nullptr) {

@@ -1,11 +1,10 @@
 // SegmentFile: one file-backed store of fixed-size pages.
 //
-// The spill tier keeps one segment per spill class (hash tables, probe
-// caches) so on-disk locality follows access locality. A segment hands
-// out page numbers from a free list (recycling pages released by
-// restored or superseded spill handles) and reads/writes whole pages by
-// offset. Segments are scratch storage: the file is unlinked when the
-// segment is destroyed.
+// The spill tier keeps every spilled payload, hash tables and probe
+// caches alike, in one segment file. A segment hands out page numbers
+// from a free list (recycling pages released by restored or superseded
+// spill handles) and reads/writes whole pages by offset. Segments are
+// scratch storage: the file is unlinked when the segment is destroyed.
 
 #ifndef QSYS_BUFFER_SEGMENT_FILE_H_
 #define QSYS_BUFFER_SEGMENT_FILE_H_
@@ -20,7 +19,7 @@
 
 namespace qsys {
 
-/// \brief Page-granular file storage for one spill class.
+/// \brief Page-granular file storage for the spill tier.
 class SegmentFile {
  public:
   /// Creates (truncating) the backing file at `path`. `injector`, when
@@ -35,16 +34,16 @@ class SegmentFile {
 
   /// Hands out a page number: recycled from the free list when
   /// possible, otherwise extending the file.
-  uint64_t AllocatePage();
+  PageId AllocatePage();
 
-  /// Returns `page_no` to the free list for reuse.
-  void FreePage(uint64_t page_no);
+  /// Returns `page` to the free list for reuse.
+  void FreePage(PageId page);
 
-  /// Writes exactly kPageSize bytes of `data` at page `page_no`.
-  Status WritePage(uint64_t page_no, const void* data);
+  /// Writes exactly kPageSize bytes of `data` at `page`.
+  Status WritePage(PageId page, const void* data);
 
-  /// Reads exactly kPageSize bytes into `data` from page `page_no`.
-  Status ReadPage(uint64_t page_no, void* data) const;
+  /// Reads exactly kPageSize bytes into `data` from `page`.
+  Status ReadPage(PageId page, void* data) const;
 
   const std::string& path() const { return path_; }
 
@@ -70,8 +69,8 @@ class SegmentFile {
 
   std::string path_;
   int fd_;
-  uint64_t next_page_ = 0;
-  std::vector<uint64_t> free_;
+  PageId next_page_ = 0;
+  std::vector<PageId> free_;
   SegmentFaultInjector* injector_ = nullptr;
 };
 

@@ -27,13 +27,12 @@ namespace qsys {
 // transiently add ~the victim's size to RSS at exactly the moment the
 // engine is trying to shed memory).
 
-/// Serializes a payload into freshly allocated pages of one spill
-/// class, holding at most one frame pinned at a time. (Named, not
-/// anonymous: SpillManager::FinishSpill takes one by reference.)
+/// Serializes a payload into freshly allocated pages, holding at most
+/// one frame pinned at a time. (Named, not anonymous:
+/// SpillManager::FinishSpill takes one by reference.)
 class SpillPageWriter {
  public:
-  SpillPageWriter(BufferManager* pool, uint8_t cls)
-      : pool_(pool), cls_(cls) {}
+  explicit SpillPageWriter(BufferManager* pool) : pool_(pool) {}
 
   ~SpillPageWriter() {
     // A writer abandoned mid-payload (serialization error) releases
@@ -87,7 +86,7 @@ class SpillPageWriter {
 
  private:
   Status OpenPage() {
-    auto page = pool_->NewPage(cls_);
+    auto page = pool_->NewPage();
     QSYS_RETURN_IF_ERROR(page.status());
     current_ = page.value().id;
     frame_ = page.value().frame;
@@ -104,7 +103,6 @@ class SpillPageWriter {
   }
 
   BufferManager* pool_;
-  uint8_t cls_;
   std::vector<PageId> pages_;
   PageId current_ = kInvalidPageId;
   uint8_t* frame_ = nullptr;
@@ -223,16 +221,6 @@ Status MakeDirs(const std::string& path) {
   return Status::OK();
 }
 
-const char* ClassFileName(SpillManager::Class cls) {
-  switch (cls) {
-    case SpillManager::Class::kHashTable:
-      return "hash_tables.seg";
-    case SpillManager::Class::kProbeCache:
-      return "probe_caches.seg";
-  }
-  return "unknown.seg";
-}
-
 }  // namespace
 
 Result<std::unique_ptr<SpillManager>> SpillManager::Open(
@@ -243,7 +231,7 @@ Result<std::unique_ptr<SpillManager>> SpillManager::Open(
   QSYS_RETURN_IF_ERROR(MakeDirs(dir));
   // Each instance works in its own scratch subdirectory: two engines
   // configured with the same spill_dir must never truncate or unlink
-  // each other's live segment files.
+  // each other's live segment file.
   std::string scratch = dir + "/engine.XXXXXX";
   if (::mkdtemp(scratch.data()) == nullptr) {
     return Status::Internal("spill scratch dir create failed: " + scratch +
@@ -254,100 +242,37 @@ Result<std::unique_ptr<SpillManager>> SpillManager::Open(
 }
 
 SpillManager::SpillManager(std::string dir, int frame_count)
-    : dir_(std::move(dir)), pool_(frame_count) {
-  writer_ = std::thread([this] { WriterLoop(); });
-}
+    : dir_(std::move(dir)), pool_(frame_count) {}
 
 SpillManager::~SpillManager() {
-  // Shutdown flush barrier: let the writer finish cleaning what it
-  // holds, then stop it — the segments must not be torn down under an
-  // in-flight pwrite.
-  FlushWriteBacks();
-  {
-    std::lock_guard<std::mutex> lock(wb_mu_);
-    wb_stop_ = true;
-  }
-  wb_cv_.notify_all();
-  writer_.join();
-  // Segments unlink their files on destruction; then the (now empty)
+  // The segment unlinks its file on destruction; then the (now empty)
   // scratch directory can go.
-  for (auto& seg : segments_) seg.reset();
+  segment_.reset();
   ::rmdir(dir_.c_str());
 }
 
-void SpillManager::EnqueueWriteBacks(const std::vector<PageId>& pages) {
-  {
-    std::lock_guard<std::mutex> lock(wb_mu_);
-    for (PageId id : pages) wb_queue_.push_back(id);
-  }
-  wb_cv_.notify_one();
-}
-
-void SpillManager::WriterLoop() {
-  for (;;) {
-    PageId id = kInvalidPageId;
-    {
-      std::unique_lock<std::mutex> lock(wb_mu_);
-      wb_cv_.wait(lock, [this] { return wb_stop_ || !wb_queue_.empty(); });
-      if (wb_queue_.empty()) return;  // stop requested, queue drained
-      id = wb_queue_.front();
-      wb_queue_.pop_front();
-      wb_busy_ = true;
-    }
-    // Best effort off the hot path: a page already evicted (= already
-    // written) or re-pinned is skipped. A write error leaves the page
-    // dirty in the pool (nothing is lost — the clock sweep retries the
-    // write before recycling the frame); count it and move on.
-    if (!pool_.WriteBack(id).ok()) {
-      faults_.fetch_add(1, std::memory_order_relaxed);
-    }
-    {
-      std::lock_guard<std::mutex> lock(wb_mu_);
-      wb_busy_ = false;
-      if (wb_queue_.empty()) wb_done_cv_.notify_all();
-    }
-  }
-}
-
-void SpillManager::FlushWriteBacks() {
-  const int64_t t0 = tracer_ != nullptr ? tracer_->NowUs() : 0;
-  {
-    std::unique_lock<std::mutex> lock(wb_mu_);
-    wb_done_cv_.wait(lock,
-                     [this] { return wb_queue_.empty() && !wb_busy_; });
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Span(TraceEventType::kWriteBackBarrier, t0,
-                  tracer_->NowUs() - t0, trace_shard_);
-  }
-}
-
-Result<SegmentFile*> SpillManager::SegmentFor(Class cls) {
-  auto idx = static_cast<size_t>(cls);
-  if (segments_[idx] == nullptr) {
-    auto file =
-        SegmentFile::Create(dir_ + "/" + ClassFileName(cls), injector_);
-    QSYS_RETURN_IF_ERROR(file.status());
-    segments_[idx] = std::move(file).value();
-    pool_.AttachSegment(static_cast<uint8_t>(cls), segments_[idx].get());
-  }
-  return segments_[idx].get();
+Status SpillManager::OpenSegment() {
+  if (segment_ != nullptr) return Status::OK();
+  auto file = SegmentFile::Create(dir_ + "/spill.seg", injector_);
+  QSYS_RETURN_IF_ERROR(file.status());
+  segment_ = std::move(file).value();
+  pool_.Attach(segment_.get());
+  return Status::OK();
 }
 
 void SpillManager::set_fault_injector(SegmentFaultInjector* injector) {
   std::lock_guard<std::mutex> lock(mu_);
   injector_ = injector;
-  for (auto& seg : segments_) {
-    if (seg != nullptr) seg->set_fault_injector(injector);
-  }
+  if (segment_ != nullptr) segment_->set_fault_injector(injector);
 }
 
 Status SpillManager::ReadPayload(const Handle& handle,
                                  std::vector<uint8_t>* payload) {
-  // Transient read-fault budget per page: above FaultPlan's default
+  // Transient fault budget per page: above FaultPlan's default
   // max_consecutive_errors, so an injected (or real EINTR-class)
-  // transient error never fails a restore outright — it just costs
-  // extra attempts, each counted as a survived fault.
+  // transient read error, or a failed write-back of the frame the pin
+  // recycles, never fails a restore outright — it just costs extra
+  // attempts, each counted as a survived fault.
   constexpr int kTransientReadRetries = 4;
   // Base backoff between attempts; doubled per retry and jittered to
   // 50–150% so concurrent restores against the same flaky device don't
@@ -428,11 +353,11 @@ Status SpillManager::DoSpillTable(const std::string& key,
                                   const JoinHashTable& table) {
   const int64_t t0 = tracer_ != nullptr ? tracer_->NowUs() : 0;
   std::lock_guard<std::mutex> lock(mu_);
-  QSYS_RETURN_IF_ERROR(SegmentFor(Class::kHashTable).status());
+  QSYS_RETURN_IF_ERROR(OpenSegment());
   // Stream the victim straight into pool frames, entry by entry — no
   // contiguous staging buffer (demotion happens under memory pressure,
   // where a payload-sized heap spike is the worst possible time).
-  SpillPageWriter writer(&pool_, static_cast<uint8_t>(Class::kHashTable));
+  SpillPageWriter writer(&pool_);
   QSYS_RETURN_IF_ERROR(writer.Put<int64_t>(table.num_entries()));
   for (int64_t i = 0; i < table.num_entries(); ++i) {
     const CompositeTuple& t = table.entry(i);
@@ -442,8 +367,7 @@ Status SpillManager::DoSpillTable(const std::string& key,
       QSYS_RETURN_IF_ERROR(PutRef(&writer, r));
     }
   }
-  Status sealed =
-      FinishSpill(Class::kHashTable, writer, table.num_entries(), key);
+  Status sealed = FinishSpill(writer, table.num_entries(), key);
   if (sealed.ok() && tracer_ != nullptr) {
     tracer_->Span(TraceEventType::kSpillDemote, t0, tracer_->NowUs() - t0,
                   trace_shard_, -1, -1, table.num_entries());
@@ -451,23 +375,16 @@ Status SpillManager::DoSpillTable(const std::string& key,
   return sealed;
 }
 
-Status SpillManager::FinishSpill(Class cls, SpillPageWriter& writer,
-                                 int64_t items, const std::string& key) {
+Status SpillManager::FinishSpill(SpillPageWriter& writer, int64_t items,
+                                 const std::string& key) {
   int64_t payload_bytes = writer.bytes();
   auto pages = writer.Finish();
   QSYS_RETURN_IF_ERROR(pages.status());
   DropLocked(key);  // supersede any earlier spill under this key
   Handle handle;
-  handle.cls = cls;
   handle.payload_bytes = payload_bytes;
   handle.items = items;
   handle.pages = std::move(pages).value();
-  // Clean the freshly filled pages in the background: the executor
-  // returns as soon as the frames are filled, and the clock sweep
-  // later finds them already written (no disk I/O on the serving
-  // path). Superseded/raced ids are harmless — WriteBack skips
-  // anything non-resident, clean, or pinned.
-  EnqueueWriteBacks(handle.pages);
   handles_[key] = std::move(handle);
   ++items_spilled_;
   return Status::OK();
@@ -481,10 +398,6 @@ Result<SpillManager::RestoreOutcome> SpillManager::DoRestoreTable(
   if (it == handles_.end()) {
     return Status::NotFound("no spilled table under key " + key);
   }
-  // Restore flush barrier: quiesce the background writer so the read
-  // below sees a stable pool and the page counters are deterministic
-  // at restore points.
-  FlushWriteBacks();
   std::vector<uint8_t> payload;
   QSYS_RETURN_IF_ERROR(ReadPayload(it->second, &payload));
   Reader in(payload);
@@ -527,9 +440,9 @@ Status SpillManager::DoSpillProbeCache(const std::string& key,
                                        const ProbeSource& probe) {
   const int64_t t0 = tracer_ != nullptr ? tracer_->NowUs() : 0;
   std::lock_guard<std::mutex> lock(mu_);
-  QSYS_RETURN_IF_ERROR(SegmentFor(Class::kProbeCache).status());
+  QSYS_RETURN_IF_ERROR(OpenSegment());
   const ProbeSource::CacheMap& cache = probe.cache();
-  SpillPageWriter writer(&pool_, static_cast<uint8_t>(Class::kProbeCache));
+  SpillPageWriter writer(&pool_);
   QSYS_RETURN_IF_ERROR(
       writer.Put<int64_t>(static_cast<int64_t>(cache.size())));
   for (const auto& [value, answers] : cache) {
@@ -540,8 +453,8 @@ Status SpillManager::DoSpillProbeCache(const std::string& key,
       QSYS_RETURN_IF_ERROR(PutRef(&writer, r));
     }
   }
-  Status sealed = FinishSpill(Class::kProbeCache, writer,
-                              static_cast<int64_t>(cache.size()), key);
+  Status sealed =
+      FinishSpill(writer, static_cast<int64_t>(cache.size()), key);
   if (sealed.ok() && tracer_ != nullptr) {
     tracer_->Span(TraceEventType::kSpillDemote, t0, tracer_->NowUs() - t0,
                   trace_shard_, -1, -1,
@@ -558,7 +471,6 @@ Result<SpillManager::RestoreOutcome> SpillManager::DoRestoreProbeCache(
   if (it == handles_.end()) {
     return Status::NotFound("no spilled probe cache under key " + key);
   }
-  FlushWriteBacks();
   std::vector<uint8_t> payload;
   QSYS_RETURN_IF_ERROR(ReadPayload(it->second, &payload));
   Reader in(payload);
@@ -588,12 +500,6 @@ Result<SpillManager::RestoreOutcome> SpillManager::DoRestoreProbeCache(
   return out;
 }
 
-int64_t SpillManager::SpilledBytes(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = handles_.find(key);
-  return it == handles_.end() ? 0 : it->second.payload_bytes;
-}
-
 int64_t SpillManager::SpilledItems(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = handles_.find(key);
@@ -617,14 +523,11 @@ SpillStats SpillManager::stats() const {
   SpillStats s;
   s.pages_written = pool_.pages_written();
   s.pages_read = pool_.pages_read();
-  s.page_faults = pool_.faults();
   s.items_spilled = items_spilled_;
   s.items_restored = items_restored_;
   s.spill_faults = faults_.load(std::memory_order_relaxed);
   s.read_retry_waits = read_retry_waits_.load(std::memory_order_relaxed);
-  for (const auto& seg : segments_) {
-    if (seg != nullptr) s.bytes_on_disk += seg->bytes_on_disk();
-  }
+  if (segment_ != nullptr) s.bytes_on_disk = segment_->bytes_on_disk();
   return s;
 }
 

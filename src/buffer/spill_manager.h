@@ -3,7 +3,7 @@
 //
 // Under memory pressure the state manager evicts hash tables and probe
 // caches. With a SpillManager attached, the payload is serialized into
-// pages of a per-class SegmentFile before the memory is freed; the
+// pages of the spill SegmentFile before the memory is freed; the
 // next batch that wants the state faults it back in (graft backfill,
 // operator reuse, probe-cache miss) instead of re-executing against
 // the remote sources.
@@ -16,23 +16,24 @@
 // the original. Handles live in memory only — the spill tier is a
 // cache, not a durability layer.
 //
-// Thread safety: every public operation locks one internal mutex.
-// Under multi-core epochs a spilled probe cache faults back in from
-// whichever ATC drain worker first misses it (the spill_fault handler
-// installed by StateManager::EnforceBudget), concurrently with other
-// workers' restores and with the background write-back thread — the
-// handle registry and counters must not be torn by that.
+// Spill I/O is synchronous: it runs on the calling thread, and a page
+// reaches disk only when the buffer pool recycles its frame.
+//
+// Thread safety: every public operation locks one internal mutex, mu_,
+// and every buffer-pool and segment-file call runs under it. Under
+// multi-core epochs a spilled probe cache faults back in from whichever
+// ATC drain worker first misses it (the spill_fault handler installed
+// by StateManager::EnforceBudget), concurrently with other workers'
+// restores — the handle registry, the pool and the counters must not be
+// torn by that.
 
 #ifndef QSYS_BUFFER_SPILL_MANAGER_H_
 #define QSYS_BUFFER_SPILL_MANAGER_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -51,16 +52,11 @@ class SpillPageWriter;  // spill_manager.cc: page-at-a-time serializer
 /// restores them on demand. One instance per Engine.
 class SpillManager {
  public:
-  /// One segment file per spill class (CacheItem::Kind analogue).
-  enum class Class : uint8_t {
-    kHashTable = 0,
-    kProbeCache = 1,
-  };
-
   /// Creates `dir` (and parents) if needed, claims a unique scratch
   /// subdirectory inside it — so engines sharing one configured spill
-  /// directory never clobber each other's segments — and opens the
-  /// spill tier with a buffer pool of `frame_count` frames.
+  /// directory never clobber each other's segment files — and opens the
+  /// spill tier with a buffer pool of `frame_count` frames. The segment
+  /// file itself is created on the first spill.
   static Result<std::unique_ptr<SpillManager>> Open(const std::string& dir,
                                                     int frame_count);
 
@@ -72,20 +68,14 @@ class SpillManager {
 
   /// Serializes `table` (entries in arrival order, with epoch tags)
   /// under `key`, superseding any earlier spill with the same key.
-  /// Demotion itself only fills pool frames; the dirty pages are
-  /// enqueued to the background writer thread, which cleans them to
-  /// disk off the executor (see FlushWriteBacks for the barrier).
+  /// Demotion fills pool frames; it writes to disk only the dirty pages
+  /// whose frames it recycles, and fails (keeping no handle) if one of
+  /// those writes fails.
   Status SpillTable(const std::string& key, const JoinHashTable& table);
 
-  /// Serializes `probe`'s answer cache under `key` (same background
-  /// write-back as SpillTable).
+  /// Serializes `probe`'s answer cache under `key` (same page path as
+  /// SpillTable).
   Status SpillProbeCache(const std::string& key, const ProbeSource& probe);
-
-  /// Flush barrier: blocks until the background writer has drained
-  /// every enqueued page write-back. Restores take it (so page-level
-  /// counters and disk state are deterministic at restore points) and
-  /// the destructor takes it before tearing the segments down.
-  void FlushWriteBacks();
 
   // ---- promotion ----
 
@@ -117,10 +107,6 @@ class SpillManager {
     std::lock_guard<std::mutex> lock(mu_);
     return handles_.count(key) > 0;
   }
-  /// Serialized size of the spilled payload (0 when `key` is absent);
-  /// the basis of the spill-read cost estimate.
-  int64_t SpilledBytes(const std::string& key) const;
-
   /// Items (table entries / cached probe keys) in the spilled payload
   /// (0 when `key` is absent). Grafting compares this against the
   /// fullest live prefix to decide whether a parked disk copy is the
@@ -140,12 +126,12 @@ class SpillManager {
   SpillStats stats() const;
 
   /// I/O faults this tier survived by degrading (demotion refused,
-  /// restore retried or abandoned, write-back deferred) instead of
-  /// losing answers. Mirrors SpillStats::spill_faults.
+  /// restore retried or abandoned) instead of losing answers. Mirrors
+  /// SpillStats::spill_faults.
   int64_t faults() const { return faults_.load(std::memory_order_relaxed); }
 
-  /// Installs (or clears, with nullptr) the fault-injection seam on
-  /// every current and future segment file (test hook; the injector
+  /// Installs (or clears, with nullptr) the fault-injection seam on the
+  /// segment file, now or when it is created (test hook; the injector
   /// must outlive this manager or be cleared before destruction).
   void set_fault_injector(SegmentFaultInjector* injector);
 
@@ -154,9 +140,9 @@ class SpillManager {
   const std::string& dir() const { return dir_; }
 
   /// Attaches the serving trace sink (may be null): successful
-  /// demotions/restores record spans (arg = items / payload bytes) and
-  /// FlushWriteBacks records its barrier wait. Set before serving
-  /// starts; spill/restore threads are created afterwards.
+  /// demotions/restores record spans (arg = items / payload bytes).
+  /// Set before serving starts; spill/restore threads are created
+  /// afterwards.
   void set_tracer(Tracer* tracer, int shard) {
     tracer_ = tracer;
     trace_shard_ = shard;
@@ -164,7 +150,6 @@ class SpillManager {
 
  private:
   struct Handle {
-    Class cls = Class::kHashTable;
     std::vector<PageId> pages;
     int64_t payload_bytes = 0;
     int64_t items = 0;
@@ -172,16 +157,12 @@ class SpillManager {
 
   SpillManager(std::string dir, int frame_count);
 
-  /// Hands `pages` to the background writer.
-  void EnqueueWriteBacks(const std::vector<PageId>& pages);
-  /// Background thread: pops queued page ids and cleans them via
-  /// BufferManager::WriteBack.
-  void WriterLoop();
   /// Drop without taking mu_ (caller holds it).
   void DropLocked(const std::string& key);
 
-  /// Segment file for `cls`, created lazily on first spill.
-  Result<SegmentFile*> SegmentFor(Class cls);
+  /// Creates the segment file on first use and attaches it to the pool
+  /// (caller holds mu_).
+  Status OpenSegment();
 
   // Demotion serializes straight into pinned pool frames page-by-page
   // (see SpillPageWriter in spill_manager.cc) — a spill never stages
@@ -190,12 +171,13 @@ class SpillManager {
   /// Seals `writer`'s payload into a handle under `key`, superseding
   /// any earlier spill with the same key (only after the new copy is
   /// fully written).
-  Status FinishSpill(Class cls, SpillPageWriter& writer, int64_t items,
+  Status FinishSpill(SpillPageWriter& writer, int64_t items,
                      const std::string& key);
 
   /// Reassembles a handle's payload from its pages (restores only).
-  /// Transient page-read faults are retried a bounded number of times
-  /// (each counted in faults_) before the error propagates.
+  /// A failed pin (a failed page read, or a failed write-back of the
+  /// frame it recycles) is retried a bounded number of times (each
+  /// counted in faults_) before the error propagates.
   Status ReadPayload(const Handle& handle, std::vector<uint8_t>* payload);
 
   // Fallible bodies of the public demote/restore entry points; the
@@ -209,35 +191,28 @@ class SpillManager {
                                              ProbeSource* probe);
 
   std::string dir_;
-  BufferManager pool_;
-  /// Guards the registry, segments, and item counters below.
+  /// Guards the pool, the segment file, the registry and the item
+  /// counters below.
   mutable std::mutex mu_;
-  std::unique_ptr<SegmentFile> segments_[2];
+  BufferManager pool_;
+  std::unique_ptr<SegmentFile> segment_;
   std::unordered_map<std::string, Handle> handles_;
   int64_t items_spilled_ = 0;
   int64_t items_restored_ = 0;
-  /// Survived I/O faults (atomic: the write-back thread counts its own
-  /// failures without taking mu_).
+  /// Survived I/O faults (atomic: the public wrappers count failures
+  /// after mu_ is released, and faults() reads without taking it).
   std::atomic<int64_t> faults_{0};
   /// Backoff sleeps taken between transient-read retry attempts
   /// (SpillStats::read_retry_waits).
   std::atomic<int64_t> read_retry_waits_{0};
-  /// Fault-injection seam handed to every segment (null in production).
+  /// Fault-injection seam handed to the segment file (null in
+  /// production).
   SegmentFaultInjector* injector_ = nullptr;
 
   /// Serving trace sink (null in the simulator). Written once before
-  /// any tracing thread exists; never touched by WriterLoop.
+  /// any tracing thread exists.
   Tracer* tracer_ = nullptr;
   int trace_shard_ = 0;
-
-  // ---- background write-back (demotion off the executor) ----
-  std::mutex wb_mu_;
-  std::condition_variable wb_cv_;       // writer waits for work
-  std::condition_variable wb_done_cv_;  // FlushWriteBacks barrier
-  std::deque<PageId> wb_queue_;
-  bool wb_busy_ = false;  // writer holds a popped page
-  bool wb_stop_ = false;
-  std::thread writer_;
 };
 
 }  // namespace qsys

@@ -24,14 +24,12 @@ void ExecStats::Merge(const ExecStats& other) {
 std::string SpillStats::ToString() const {
   char buf[256];
   snprintf(buf, sizeof(buf),
-           "spilled=%lld restored=%lld | pages w=%lld r=%lld "
-           "faults=%lld | on-disk=%lld B | io-faults=%lld "
-           "retry-waits=%lld",
+           "spilled=%lld restored=%lld | pages w=%lld r=%lld | "
+           "on-disk=%lld B | io-faults=%lld retry-waits=%lld",
            static_cast<long long>(items_spilled),
            static_cast<long long>(items_restored),
            static_cast<long long>(pages_written),
            static_cast<long long>(pages_read),
-           static_cast<long long>(page_faults),
            static_cast<long long>(bytes_on_disk),
            static_cast<long long>(spill_faults),
            static_cast<long long>(read_retry_waits));

@@ -99,22 +99,22 @@ static_assert(sizeof(ExecStats) == 14 * sizeof(int64_t),
 /// evicted query state was demoted to disk instead of destroyed, and
 /// what it cost to page it back in.
 struct SpillStats {
-  /// Pages written back to segment files (buffer-pool evictions +
-  /// flushes).
+  /// Pages written to the segment file: dirty frames the buffer pool
+  /// recycled. A page freed while still resident is never written.
   int64_t pages_written = 0;
-  /// Pages read back from segment files.
+  /// Pages read back from the segment file: buffer-pool misses.
   int64_t pages_read = 0;
-  /// Buffer-pool misses that had to touch disk.
-  int64_t page_faults = 0;
   /// Cache items (hash tables, probe caches) demoted to disk.
   int64_t items_spilled = 0;
   /// Spilled items restored into memory on demand.
   int64_t items_restored = 0;
-  /// Bytes currently occupied by spill segments on disk.
+  /// Bytes addressed by live spilled pages in the segment file. A page
+  /// still resident in the pool counts, though it is written only if
+  /// its frame is recycled.
   int64_t bytes_on_disk = 0;
   /// I/O faults the spill tier survived by degrading — demotion kept
-  /// the victim in memory, a restore was retried or abandoned, a
-  /// write-back stayed dirty in the pool — instead of losing answers.
+  /// the victim in memory, or a restore was retried or abandoned —
+  /// instead of losing answers.
   int64_t spill_faults = 0;
   /// Jittered-backoff waits taken between transient-read retry
   /// attempts (SpillManager::ReadPayload). A climbing value means the
@@ -125,7 +125,7 @@ struct SpillStats {
   std::string ToString() const;
 };
 
-static_assert(sizeof(SpillStats) == 8 * sizeof(int64_t),
+static_assert(sizeof(SpillStats) == 7 * sizeof(int64_t),
               "SpillStats gained/lost a field: update ServiceCounters"
               "::StoreSpill/LoadSpill, the spill gauge aggregation in "
               "QueryService::AggregateSpillGauges, and the mirror test "
@@ -167,7 +167,9 @@ struct ServiceCounters {
   std::atomic<int64_t> rejected{0};
   /// Queries whose top-k answer set was delivered.
   std::atomic<int64_t> completed{0};
-  /// Queries that failed candidate generation.
+  /// Queries resolved with an error other than cancellation or an
+  /// expired deadline: failed candidate generation, an unavailable
+  /// shard after its retries, or an engine error.
   std::atomic<int64_t> failed{0};
   /// Queries cancelled by a non-draining shutdown.
   std::atomic<int64_t> cancelled{0};
@@ -191,7 +193,6 @@ struct ServiceCounters {
   //    each epoch (all zero when spilling is disabled) --
   std::atomic<int64_t> spill_pages_written{0};
   std::atomic<int64_t> spill_pages_read{0};
-  std::atomic<int64_t> spill_page_faults{0};
   std::atomic<int64_t> spill_items_spilled{0};
   std::atomic<int64_t> spill_items_restored{0};
   std::atomic<int64_t> spill_bytes_on_disk{0};
@@ -202,7 +203,6 @@ struct ServiceCounters {
   void StoreSpill(const SpillStats& s) {
     spill_pages_written.store(s.pages_written, std::memory_order_relaxed);
     spill_pages_read.store(s.pages_read, std::memory_order_relaxed);
-    spill_page_faults.store(s.page_faults, std::memory_order_relaxed);
     spill_items_spilled.store(s.items_spilled, std::memory_order_relaxed);
     spill_items_restored.store(s.items_restored,
                                std::memory_order_relaxed);
@@ -217,7 +217,6 @@ struct ServiceCounters {
     SpillStats s;
     s.pages_written = spill_pages_written.load(std::memory_order_relaxed);
     s.pages_read = spill_pages_read.load(std::memory_order_relaxed);
-    s.page_faults = spill_page_faults.load(std::memory_order_relaxed);
     s.items_spilled = spill_items_spilled.load(std::memory_order_relaxed);
     s.items_restored =
         spill_items_restored.load(std::memory_order_relaxed);

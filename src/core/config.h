@@ -69,14 +69,15 @@ struct QConfig {
   EvictionPolicy eviction = EvictionPolicy::kLruSize;
 
   /// Disk-spill tier (src/buffer/): when non-empty, state evicted under
-  /// memory pressure is demoted to page files under this directory —
+  /// memory pressure is demoted to a page file under this directory —
   /// and faulted back on demand — instead of destroyed. Empty disables
   /// spilling (evictions destroy state, the paper's §6.3 behavior).
   /// Each engine claims a private scratch subdirectory inside it, so
   /// engines may safely share one configured directory.
   std::string spill_dir;
   /// Buffer-pool frames (of kPageSize bytes) staging spill pages. The
-  /// pool is fixed-size and separate from memory_budget_bytes.
+  /// pool is fixed-size and separate from memory_budget_bytes. A page
+  /// reaches disk only when its frame is recycled for another page.
   int spill_pool_frames = 64;
 
   /// Serving-layer sharding (src/shard/): number of independent Engines

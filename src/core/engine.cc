@@ -147,6 +147,7 @@ Status Engine::OptimizeAndGraft(const std::vector<const UserQuery*>& batch,
   opts.max_subexpr_atoms = config_.max_subexpr_atoms;
   opts.k = config_.k;
   opts.explain = journal_ != nullptr;
+  opts.progress = &progress_ticks_;
 
   OptimizeOutcome outcome =
       optimizer_->OptimizeBatch(batch, opts, base_tag);
@@ -397,6 +398,7 @@ Status Engine::DrainAtcsTo(VirtualTime bound) {
         std::lock_guard<std::mutex> atc_lock(atc->mu());
         while (atc->HasWork() && atc->clock().now() < bound) {
           atc->Step();
+          progress_ticks_.fetch_add(1, std::memory_order_relaxed);
           ++local_rounds;
           HarvestCompletions(atc);
           int64_t r = rounds.fetch_add(1, std::memory_order_relaxed) + 1;

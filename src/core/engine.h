@@ -207,11 +207,12 @@ class Engine {
   /// count.
   Result<EpochOutcome> Drain(const DrainOptions& options);
 
-  /// Monotone count of scheduling-round iterations driven by Drain —
-  /// the engine-level half of a shard's heartbeat. A long epoch still
-  /// ticks this every round, so a supervisor can tell "slow but alive"
-  /// from "wedged" without waiting for the epoch to end. Readable from
-  /// any thread.
+  /// Monotone progress count — a shard's heartbeat. Drain ticks it once
+  /// per loop iteration, each ATC once per scheduling round, and the
+  /// optimizer once per BestPlan search node, so a long drain or a long
+  /// optimizer run still ticks it, and a supervisor can tell "slow but
+  /// alive" from "wedged" without waiting for the epoch to end.
+  /// Readable from any thread.
   int64_t progress_ticks() const {
     return progress_ticks_.load(std::memory_order_relaxed);
   }
@@ -363,7 +364,7 @@ class Engine {
   int next_cq_id_ = 1;
   int flush_counter_ = 0;
   int64_t rounds_ = 0;
-  /// Scheduling-round liveness counter (see progress_ticks()).
+  /// Liveness counter (see progress_ticks()).
   std::atomic<int64_t> progress_ticks_{0};
   bool finalized_ = false;
 };

@@ -63,8 +63,6 @@ class SchemaGraph {
     node_costs_[table] = cost;
   }
 
-  int num_nodes() const { return static_cast<int>(node_costs_.size()); }
-
   /// Cheapest path (total edge cost) from any table in `from` to `to`.
   /// Returns the edge-id sequence; empty optional-like: an empty vector
   /// with `found == false`.

@@ -162,13 +162,11 @@ const NamedSpillField kSpillFields[] = {
      &SpillStats::pages_written},
     {"spill_pages_read", "Pages read back from spill segment files",
      &SpillStats::pages_read},
-    {"spill_page_faults", "Buffer-pool misses that touched disk",
-     &SpillStats::page_faults},
     {"spill_items_spilled", "Cache items demoted to disk",
      &SpillStats::items_spilled},
     {"spill_items_restored", "Spilled items restored on demand",
      &SpillStats::items_restored},
-    {"spill_bytes_on_disk", "Bytes currently held in spill segments",
+    {"spill_bytes_on_disk", "Bytes currently held in the spill segment",
      &SpillStats::bytes_on_disk},
     {"spill_io_faults",
      "Spill I/O faults survived by degrading instead of losing answers",
@@ -210,7 +208,10 @@ std::string RenderPrometheus(const MetricsRegistry& metrics,
        counters.rejected.load(std::memory_order_relaxed)},
       {"completed", "Queries whose top-k answers were delivered",
        counters.completed.load(std::memory_order_relaxed)},
-      {"failed", "Queries that failed candidate generation",
+      {"failed",
+       "Queries resolved with an error other than cancellation or an "
+       "expired deadline (candidate generation, unavailable shard, "
+       "engine error)",
        counters.failed.load(std::memory_order_relaxed)},
       {"cancelled", "Queries cancelled by a non-draining shutdown",
        counters.cancelled.load(std::memory_order_relaxed)},

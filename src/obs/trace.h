@@ -57,7 +57,8 @@ enum class TraceEventType : uint8_t {
   kEvict,            ///< instant: state-manager budget enforcement
   kSpillDemote,      ///< span: cache item serialized to the spill tier
   kSpillRestore,     ///< span: spilled item faulted back from disk
-  kWriteBackBarrier, ///< span: wait for the background page writer
+  kWriteBackBarrier, ///< span: never recorded (spill I/O is synchronous);
+                     ///< kept because servebench reads it
   // -- fault tolerance --
   kRetry,            ///< instant: query re-submitted after a shard failure
   kDeadlineExceeded, ///< instant: query resolved past its deadline

@@ -137,6 +137,9 @@ void BestPlanSearch::Search(
     std::vector<Chosen>& chosen, int next_index, BestPlanResult* best) {
   if (best->nodes_explored >= pruning_->search_node_budget) return;
   best->nodes_explored += 1;
+  if (progress_ != nullptr) {
+    progress_->fetch_add(1, std::memory_order_relaxed);
+  }
   std::string key = MemoKey(chosen);
   if (memo_.count(key) > 0) return;
   memo_[key] = 0.0;

@@ -15,6 +15,7 @@
 #ifndef QSYS_OPT_BEST_PLAN_H_
 #define QSYS_OPT_BEST_PLAN_H_
 
+#include <atomic>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -55,15 +56,18 @@ class BestPlanSearch {
   /// alternatives for the journal.
   static constexpr int kMaxAlternatives = 8;
 
+  /// `progress`, when non-null, is ticked once per search node.
   BestPlanSearch(const CostModel* cost_model, const Catalog* catalog,
                  const PruningOptions* pruning, int k, int reuse_tag,
-                 bool collect_alternatives = false)
+                 bool collect_alternatives = false,
+                 std::atomic<int64_t>* progress = nullptr)
       : cost_model_(cost_model),
         catalog_(catalog),
         pruning_(pruning),
         k_(k),
         reuse_tag_(reuse_tag),
-        collect_alternatives_(collect_alternatives) {}
+        collect_alternatives_(collect_alternatives),
+        progress_(progress) {}
 
   /// Finds the minimum-cost valid input assignment for `queries` using a
   /// subset of `candidates` plus residual base-relation inputs.
@@ -101,6 +105,7 @@ class BestPlanSearch {
   int k_;
   int reuse_tag_;
   bool collect_alternatives_;
+  std::atomic<int64_t>* progress_;
   std::unordered_map<std::string, double> memo_;
 };
 

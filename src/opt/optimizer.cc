@@ -26,7 +26,8 @@ OptimizedGroup Optimizer::OptimizeGroup(
 
   // Stage 1b: BestPlan (Algorithm 1).
   BestPlanSearch search(&cost_model_, catalog_, &options.pruning, options.k,
-                        reuse_tag, /*collect_alternatives=*/options.explain);
+                        reuse_tag, /*collect_alternatives=*/options.explain,
+                        options.progress);
   BestPlanResult best = search.Run(queries, pruned);
   outcome->nodes_explored += best.nodes_explored;
 

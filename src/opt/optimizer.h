@@ -16,6 +16,7 @@
 #ifndef QSYS_OPT_OPTIMIZER_H_
 #define QSYS_OPT_OPTIMIZER_H_
 
+#include <atomic>
 #include <vector>
 
 #include "src/opt/best_plan.h"
@@ -47,6 +48,10 @@ struct OptimizerOptions {
   /// OptimizedGroup::decision (decision journal; off keeps the search
   /// allocation-free).
   bool explain = false;
+  /// When non-null, ticked once per BestPlan search node: the engine's
+  /// liveness counter (Engine::progress_ticks), so a long search still
+  /// shows progress.
+  std::atomic<int64_t>* progress = nullptr;
 };
 
 /// \brief One co-optimized group: a plan spec covering a set of CQs.

@@ -25,7 +25,7 @@ std::vector<size_t> ChooseVictims(const std::vector<CacheItem>& items,
                                   int64_t need_bytes) {
   std::vector<size_t> order;
   for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].pinned || items[i].referenced) continue;
+    if (items[i].referenced) continue;
     order.push_back(i);
   }
   auto by = [&](auto key_fn) {

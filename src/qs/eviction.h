@@ -44,14 +44,12 @@ struct CacheItem {
   VirtualTime last_used_us = 0;
   /// Estimated cost (virtual us) to rebuild the item if needed again.
   double recompute_cost = 0.0;
-  /// Pinned items (optimizer reuse in flight) are never chosen.
-  bool pinned = false;
   /// Items still referenced by active queries are never chosen.
   bool referenced = false;
 };
 
 /// Selects victims (indexes into `items`) until at least `need_bytes`
-/// would be freed, per `policy`, skipping pinned/referenced items.
+/// would be freed, per `policy`, skipping referenced items.
 /// Returns the chosen indexes in eviction order.
 std::vector<size_t> ChooseVictims(const std::vector<CacheItem>& items,
                                   EvictionPolicy policy,

@@ -218,7 +218,6 @@ int64_t PlanGrafter::RederivePrefixes(
           op->Consume(drive, t->entry(i), ctx);
         }
         replayed += n;
-        prefix_replays_ += 1;
       }
       // Full replay (or an empty module = zero derivable combos)
       // establishes the invariant for everything currently buffered:
@@ -558,7 +557,7 @@ Status PlanGrafter::Graft(const OptimizedGroup& group,
     reg.max_sum = cq.max_sum;
     std::vector<int> stream_inputs =
         spec.assignment.StreamInputsOf(cq.id);
-    bool any_read = false, all_read = !stream_inputs.empty();
+    bool all_read = !stream_inputs.empty();
     for (int idx : stream_inputs) {
       StreamingSource* src = sources_->GetOrCreateStream(
           spec.assignment.inputs[idx].expr, tag);
@@ -571,11 +570,7 @@ Status PlanGrafter::Graft(const OptimizedGroup& group,
       const int64_t depth = src->tuples_read();
       reg.grafted_depth += depth;
       if (src->exhausted()) reg.grafted_exhausted += 1;
-      if (depth > 0) {
-        any_read = true;
-      } else {
-        all_read = false;
-      }
+      if (depth == 0) all_read = false;
       // Sharing-benefit attribution: `depth` tuples of this stream were
       // already paid for by an earlier query — this registration
       // inherits them without streaming. Credit the producing user
@@ -597,7 +592,6 @@ Status PlanGrafter::Graft(const OptimizedGroup& group,
         }
       }
     }
-    (void)any_read;
     int port = merge->RegisterCq(reg);
     graph.ConnectMJoin(terminal, {merge, port});
     for (const PlanSpec::Component& comp : spec.components) {

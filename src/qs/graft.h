@@ -54,11 +54,8 @@ class PlanGrafter {
   int64_t ops_reused() const { return ops_reused_; }
   /// Tuples copied while backfilling fresh modules from retained state.
   int64_t tuples_backfilled() const { return tuples_backfilled_; }
-  /// Upstream producers whose buffered prefix was re-derived through
-  /// the join at graft time (hierarchical warm-state completeness).
-  int64_t prefix_replays() const { return prefix_replays_; }
-  /// Buffered tuples replayed through upstream producers by those
-  /// re-derivations.
+  /// Buffered tuples re-derived through upstream producers' joins at
+  /// graft time (hierarchical warm-state completeness).
   int64_t tuples_rederived() const { return tuples_rederived_; }
   /// Buffered tuples a warm graft skipped because the producer's
   /// replay watermark showed them already replayed (steady-state warm
@@ -178,7 +175,6 @@ class PlanGrafter {
   int64_t recoveries_built_ = 0;
   int64_t ops_reused_ = 0;
   int64_t tuples_backfilled_ = 0;
-  int64_t prefix_replays_ = 0;
   int64_t tuples_rederived_ = 0;
   int64_t tuples_rederived_skipped_ = 0;
 };

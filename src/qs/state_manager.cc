@@ -27,15 +27,6 @@ JoinHashTable* StateManager::FindModuleTable(
   return it == tables_.end() ? nullptr : it->second.table;
 }
 
-void StateManager::Pin(int tag, const std::string& expr_signature) {
-  auto it = tables_.find(Key(tag, expr_signature));
-  if (it != tables_.end()) it->second.pinned = true;
-}
-
-void StateManager::UnpinAll() {
-  for (auto& [key, e] : tables_) e.pinned = false;
-}
-
 void StateManager::SnapshotSourceStats() {
   for (const auto& [key, stream] : sources_->streams()) {
     (void)key;
@@ -103,11 +94,6 @@ void StateManager::JournalVictim(const CacheItem& item, int64_t entries,
                    RecomputeCostUs(item, entries), item.key.c_str());
 }
 
-bool StateManager::HasSpilledTable(
-    int tag, const std::string& expr_signature) const {
-  return spill_ != nullptr && spill_->HasSpill(Key(tag, expr_signature));
-}
-
 int64_t StateManager::SpilledTableEntries(
     int tag, const std::string& expr_signature) const {
   return spill_ == nullptr
@@ -163,7 +149,6 @@ int StateManager::EnforceBudget(VirtualTime now) {
     item.size_bytes = e.table != nullptr ? e.table->SizeBytes() : 0;
     item.last_used_us = e.last_used_us;
     item.recompute_cost = static_cast<double>(item.size_bytes);
-    item.pinned = e.pinned;
     // Referenced while the owning operator runs — or while a recovery
     // query borrows the table as a frozen module / replay source
     // (evicting mid-replay would corrupt the recovery's results).
@@ -180,7 +165,6 @@ int StateManager::EnforceBudget(VirtualTime now) {
     item.size_bytes = probe->CacheSizeBytes();
     item.last_used_us = 0;  // probe caches are the coldest class
     item.recompute_cost = static_cast<double>(probe->probes_issued());
-    item.pinned = false;
     item.referenced = false;
     table_keys.push_back(nullptr);
     probe_ptrs.push_back(probe.get());

@@ -55,11 +55,6 @@ class StateManager {
   JoinHashTable* FindModuleTable(int tag,
                                  const std::string& expr_signature) const;
 
-  // ---- pinning (§6.1: the optimizer pins inputs it plans to reuse) ----
-
-  void Pin(int tag, const std::string& expr_signature);
-  void UnpinAll();
-
   // ---- statistics feedback ----
 
   StatsRegistry& observed_stats() { return observed_; }
@@ -81,7 +76,7 @@ class StateManager {
   /// Total bytes across registered tables and probe caches.
   int64_t TotalCacheBytes() const;
 
-  /// Enforces the budget: evicts unpinned, unreferenced items per the
+  /// Enforces the budget: evicts unreferenced items per the
   /// policy until under budget. Returns the number of items evicted.
   /// With a spill tier attached, victims whose estimated spill-read
   /// cost undercuts their recompute cost are serialized to disk before
@@ -97,10 +92,6 @@ class StateManager {
   /// outlive this manager.
   void AttachSpill(SpillManager* spill, const DelayParams* delays);
   SpillManager* spill() { return spill_; }
-
-  /// Whether an evicted copy of the table for (tag, signature) is
-  /// parked on disk.
-  bool HasSpilledTable(int tag, const std::string& expr_signature) const;
 
   /// Entries in the parked disk copy for (tag, signature); 0 when
   /// nothing is spilled under the key. The grafter compares this
@@ -156,7 +147,6 @@ class StateManager {
     JoinHashTable* table = nullptr;
     MJoinOp* owner = nullptr;
     VirtualTime last_used_us = 0;
-    bool pinned = false;
   };
 
   static std::string Key(int tag, const std::string& sig) {

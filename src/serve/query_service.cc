@@ -84,7 +84,7 @@ ExecStats QueryService::stats_snapshot() const {
 
 void QueryService::AggregateSpillGauges() {
   // Serialized: concurrent shard executors each publish a sum, and
-  // StoreSpill writes eight independent atomics — interleaving two sums
+  // StoreSpill writes seven independent atomics — interleaving two sums
   // would leave a torn (internally inconsistent) snapshot.
   std::lock_guard<std::mutex> lock(gauges_mu_);
   SpillStats sum;
@@ -92,7 +92,6 @@ void QueryService::AggregateSpillGauges() {
     const SpillStats s = shard->stats().spill;
     sum.pages_written += s.pages_written;
     sum.pages_read += s.pages_read;
-    sum.page_faults += s.page_faults;
     sum.items_spilled += s.items_spilled;
     sum.items_restored += s.items_restored;
     sum.bytes_on_disk += s.bytes_on_disk;

@@ -223,7 +223,6 @@ bool EngineShard::RunDueEpochs(bool drain_partial) {
         break;
     }
   }
-  heartbeat_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(engine_mu_);
   const int64_t epoch_t0 =
       (tracer_ != nullptr || metrics_ != nullptr) ? NowUs() : 0;

@@ -163,15 +163,12 @@ class EngineShard {
 
   // ---- health surface (any thread; read by the ShardSupervisor) ----
 
-  /// Liveness counter: shard-level epoch drives plus the engine's
-  /// per-scheduling-round progress ticks. Frozen exactly while the
-  /// executor is wedged (crashed, blocked, or injected stall); a
-  /// supervisor seeing pending work and a frozen heartbeat past its
-  /// stall timeout declares the shard stalled.
-  int64_t heartbeat() const {
-    return heartbeat_.load(std::memory_order_relaxed) +
-           engine().progress_ticks();
-  }
+  /// Liveness counter: the live engine's progress ticks (see
+  /// Engine::progress_ticks). Frozen exactly while the executor is
+  /// wedged (crashed, blocked, or injected stall); a supervisor seeing
+  /// pending work and a frozen heartbeat past its stall timeout
+  /// declares the shard stalled.
+  int64_t heartbeat() const { return engine().progress_ticks(); }
 
   /// True once the executor thread has exited (trivially true in
   /// manual mode). A crashed shard is restartable only after this.
@@ -265,8 +262,6 @@ class EngineShard {
   mutable std::mutex terminal_mu_;
 
   // ---- health state ----
-  /// Shard-level half of heartbeat(): epoch drives completed.
-  std::atomic<int64_t> heartbeat_{0};
   /// Injector consultation sequence (monotone across restarts).
   std::atomic<int64_t> epoch_seq_{0};
   std::atomic<bool> down_{false};

@@ -64,7 +64,6 @@ class ProbeSource {
   /// consumed on first use so steady-state probing stays hook-free.
   using SpillFaultFn = std::function<bool(ProbeSource*, ExecContext&)>;
   void set_spill_fault(SpillFaultFn fn) { spill_fault_ = std::move(fn); }
-  bool has_spill_fault() const { return static_cast<bool>(spill_fault_); }
 
   int id() const { return id_; }
   void set_id(int id) { id_ = id; }

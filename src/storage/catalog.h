@@ -47,11 +47,6 @@ class Catalog {
     return tables_[t]->row(r)[col];
   }
 
-  /// Base score of a stored tuple (score attribute or neutral 1.0).
-  double GetScore(TableId t, RowId r) const {
-    return tables_[t]->RowScore(r);
-  }
-
  private:
   std::vector<std::unique_ptr<Table>> tables_;
   std::unordered_map<std::string, TableId> by_name_;

@@ -78,9 +78,4 @@ const HashIndex& Table::GetHashIndex(int column) const {
   return *slot.index;
 }
 
-int64_t Table::EstimateRowBytes() const {
-  // Values are ~32 bytes (variant + small string); add vector overhead.
-  return 32 * schema_.num_fields() + 24;
-}
-
 }  // namespace qsys

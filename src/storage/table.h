@@ -30,8 +30,6 @@ class HashIndex {
   /// Rows whose indexed column equals `v` (empty if none).
   const std::vector<RowId>& Lookup(const Value& v) const;
 
-  size_t num_keys() const { return map_.size(); }
-
  private:
   int column_;
   std::unordered_map<Value, std::vector<RowId>, ValueHash> map_;
@@ -81,10 +79,6 @@ class Table {
   /// Only valid after Finalize(). Safe to call from many threads: each
   /// column's index is built exactly once.
   const HashIndex& GetHashIndex(int column) const;
-
-  /// Rough in-memory footprint of `n` rows of this schema, in bytes.
-  /// Used by the query state manager for cache accounting.
-  int64_t EstimateRowBytes() const;
 
  private:
   TableSchema schema_;

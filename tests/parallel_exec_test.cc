@@ -1,6 +1,5 @@
 // Multi-core epochs (intra-shard parallelism): byte-equivalence of
-// parallel ATC execution, the replay watermark, and the spill tier's
-// background write-back.
+// parallel ATC execution and the replay watermark.
 //
 // The acceptance bar of the parallel executor is *byte-equivalence*:
 // per-UQ top-k answers must be identical to the single-threaded run at
@@ -19,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/buffer/spill_manager.h"
 #include "src/serve/query_service.h"
 #include "src/workload/bio_terms.h"
 #include "src/workload/gus.h"
@@ -289,62 +287,6 @@ TEST(ReplayWatermarkTest, SteadyStateWarmGraftSkipsReplay) {
   // The steady-state saving: at least one warm graft consulted the
   // watermark and skipped its already-replayed prefix.
   EXPECT_GT(skipped, 0);
-}
-
-// ---- spill background write-back ----
-
-TEST(SpillWriteBackTest, BackgroundWriterCleansPagesAndBarriersOnRestore) {
-  char tmpl[] = "/tmp/qsys_spill_wb_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  auto spill = SpillManager::Open(tmpl, /*frame_count=*/8);
-  ASSERT_TRUE(spill.ok()) << spill.status().ToString();
-  SpillManager& mgr = *spill.value();
-
-  Catalog catalog;
-  TableSchema schema("t", {{"id", FieldType::kInt},
-                           {"score", FieldType::kDouble}});
-  schema.set_score_field(1);
-  TableId tid = catalog.AddTable(std::move(schema)).value();
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(
-        catalog.table(tid)
-            .AddRow({Value(int64_t{i}), Value(1.0 / (i + 1))})
-            .ok());
-  }
-  catalog.FinalizeAll();
-
-  JoinHashTable table(&catalog);
-  for (RowId i = 0; i < 64; ++i) {
-    CompositeTuple t = CompositeTuple::WithSlots(2);
-    t.set_ref(0, {tid, i, 1.0 / (i + 1)});
-    t.set_ref(1, {tid, (i * 3) % 64, 0.25});
-    t.RecomputeSum();
-    table.Insert(/*epoch=*/static_cast<int>(i) % 3, std::move(t));
-  }
-  ASSERT_TRUE(mgr.SpillTable("wb-test", table).ok());
-  // The barrier drains the background writer; afterwards every page of
-  // the spill is clean on disk even though nothing was evicted.
-  mgr.FlushWriteBacks();
-  SpillStats stats = mgr.stats();
-  EXPECT_GT(stats.pages_written, 0);
-  EXPECT_GT(stats.bytes_on_disk, 0);
-
-  JoinHashTable restored(&catalog);
-  auto outcome = mgr.RestoreTable("wb-test", &restored);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(outcome.value().items, table.num_entries());
-  ASSERT_EQ(restored.num_entries(), table.num_entries());
-  for (int64_t i = 0; i < table.num_entries(); ++i) {
-    EXPECT_EQ(restored.entry_epoch(i), table.entry_epoch(i));
-    ASSERT_EQ(restored.entry(i).num_refs(), table.entry(i).num_refs());
-    for (int s = 0; s < table.entry(i).num_refs(); ++s) {
-      EXPECT_EQ(restored.entry(i).ref(s).table, table.entry(i).ref(s).table);
-      EXPECT_EQ(restored.entry(i).ref(s).row, table.entry(i).ref(s).row);
-      EXPECT_EQ(restored.entry(i).ref(s).score, table.entry(i).ref(s).score);
-    }
-  }
-  spill.value().reset();
-  ::rmdir(tmpl);
 }
 
 }  // namespace

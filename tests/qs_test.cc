@@ -165,7 +165,7 @@ TEST(EvictionTest, SkipsPinnedAndReferenced) {
   std::vector<CacheItem> items = {Item("pinned", 100, 1),
                                   Item("live", 100, 1),
                                   Item("free", 100, 1)};
-  items[0].pinned = true;
+  items[0].referenced = true;
   items[1].referenced = true;
   std::vector<size_t> victims =
       ChooseVictims(items, EvictionPolicy::kLru, 1000);
@@ -189,7 +189,7 @@ TEST(EvictionTest, PolicyNames) {
 
 // ---- state manager ----
 
-TEST(StateManagerTest, RegistryAndPinning) {
+TEST(StateManagerTest, RegistryLookupIsTagScoped) {
   Catalog catalog;
   TableSchema s("t", {{"id", FieldType::kInt}});
   catalog.AddTable(std::move(s)).value();
@@ -202,8 +202,6 @@ TEST(StateManagerTest, RegistryAndPinning) {
   EXPECT_EQ(manager.FindModuleTable(0, "sigA"), &table);
   EXPECT_EQ(manager.FindModuleTable(1, "sigA"), nullptr);  // tag scoped
   EXPECT_EQ(manager.FindModuleTable(0, "sigB"), nullptr);
-  manager.Pin(0, "sigA");
-  manager.UnpinAll();
 }
 
 TEST(StateManagerTest, EnforceBudgetEvictsUnreferencedTables) {

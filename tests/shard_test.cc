@@ -434,7 +434,6 @@ TEST(ShardedServiceTest, PerShardSnapshotsAddUpToServiceTotals) {
   } kSpillFamilies[] = {
       {"spill_pages_written", spill.pages_written},
       {"spill_pages_read", spill.pages_read},
-      {"spill_page_faults", spill.page_faults},
       {"spill_items_spilled", spill.items_spilled},
       {"spill_items_restored", spill.items_restored},
       {"spill_bytes_on_disk", spill.bytes_on_disk},
