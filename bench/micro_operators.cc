@@ -1,11 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the core execution operators:
-// join hash table insert/probe, m-join consumption, split fan-out, and
-// rank-merge maintenance. Run in Release mode for meaningful numbers.
+// join hash table insert/probe, m-join consumption, split fan-out,
+// rank-merge maintenance, and ATC scheduling rounds. Run in Release
+// mode for meaningful numbers.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "src/exec/atc.h"
 #include "src/exec/mjoin_op.h"
 #include "src/exec/rank_merge_op.h"
+#include "src/exec/replay_stream.h"
 #include "src/exec/split_op.h"
 
 namespace qsys {
@@ -182,6 +189,87 @@ void BM_RankMergeMaintain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_RankMergeMaintain);
+
+/// Six user queries on one ATC, each with a CQ over R and a CQ over S:
+/// every registration shares its stream (and the m-join behind it) with
+/// the other five merges. The streams replay score-ordered in-memory
+/// tables, so a round costs scheduling, routing and merge bookkeeping,
+/// not source setup.
+class AtcRoundFixture {
+ public:
+  explicit AtcRoundFixture(MicroData& d)
+      : atc_(0, &d.catalog, d.delays.get(), /*adaptive=*/true) {
+    PlanGraph& graph = atc_.graph();
+    std::vector<std::pair<MJoinOp*, StreamingSource*>> inputs;
+    for (TableId t : {d.r_id, d.s_id}) {
+      Expr expr = d.SingleExpr(t);
+      streams_.push_back(std::make_unique<ReplayStream>(
+          expr, 1.0, &ScoreOrdered(d, t), JoinHashTable::kAllEpochs));
+      MJoinOp* join = graph.AddMJoin(expr);
+      int port = join->AddStreamModule(expr).value();
+      (void)join->Finalize();
+      graph.ConnectSource(streams_.back().get(), {join, port});
+      inputs.emplace_back(join, streams_.back().get());
+    }
+    for (int uq = 0; uq < 6; ++uq) {
+      RankMergeOp* merge = graph.AddRankMerge(uq, /*k=*/100, 0);
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        CqRegistration reg;
+        reg.cq_id = uq * 2 + static_cast<int>(i);
+        reg.score_fn = uq % 2 == 0
+                           ? ScoreFunction::DiscoverSum(1)
+                           : ScoreFunction::QSystem(0.25 * i, 1);
+        reg.max_sum = 1.0;
+        reg.streams = {inputs[i].second};
+        graph.ConnectMJoin(inputs[i].first,
+                           {merge, merge->RegisterCq(reg)});
+      }
+    }
+  }
+
+  Atc& atc() { return atc_; }
+
+ private:
+  /// Base tuples of `t` in score order, built once per table.
+  static const JoinHashTable& ScoreOrdered(MicroData& d, TableId t) {
+    static std::vector<std::unique_ptr<JoinHashTable>>* tables =
+        new std::vector<std::unique_ptr<JoinHashTable>>(2);
+    std::unique_ptr<JoinHashTable>& table = (*tables)[t == d.r_id ? 0 : 1];
+    if (table == nullptr) {
+      table = std::make_unique<JoinHashTable>(&d.catalog);
+      const Table& rows = d.catalog.table(t);
+      for (RowId r : rows.score_order()) {
+        table->Insert(0, CompositeTuple::ForBase(t, r, rows.RowScore(r)));
+      }
+    }
+    return *table;
+  }
+
+  std::vector<std::unique_ptr<ReplayStream>> streams_;
+  Atc atc_;
+};
+
+void BM_AtcRound(benchmark::State& state) {
+  MicroData& d = Data();
+  int64_t rounds = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto fixture = std::make_unique<AtcRoundFixture>(d);
+    state.ResumeTiming();
+    rounds += fixture->atc().RunToCompletion();
+    benchmark::DoNotOptimize(fixture->atc().stats().results_emitted);
+    state.PauseTiming();
+    fixture.reset();
+    state.ResumeTiming();
+  }
+  // Inverting a rate of (rounds / 1e9) per second gives ns per round.
+  state.counters["ns_per_round"] = benchmark::Counter(
+      static_cast<double>(rounds) / 1e9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["rounds"] = benchmark::Counter(
+      static_cast<double>(rounds), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_AtcRound);
 
 }  // namespace
 }  // namespace qsys

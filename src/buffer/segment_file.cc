@@ -41,7 +41,13 @@ PageId SegmentFile::AllocatePage() {
   return next_page_++;
 }
 
-void SegmentFile::FreePage(PageId page) { free_.push_back(page); }
+void SegmentFile::FreePage(PageId page) {
+  if (page < written_.size() && written_[page]) {
+    written_[page] = false;
+    --written_pages_;
+  }
+  free_.push_back(page);
+}
 
 Status SegmentFile::WritePage(PageId page, const void* data) {
   const char* p = static_cast<const char*>(data);
@@ -70,6 +76,11 @@ Status SegmentFile::WritePage(PageId page, const void* data) {
     p += n;
     offset += n;
     remaining -= n;
+  }
+  if (page >= written_.size()) written_.resize(page + 1);
+  if (!written_[page]) {
+    written_[page] = true;
+    ++written_pages_;
   }
   return Status::OK();
 }

@@ -52,10 +52,12 @@ class SegmentFile {
     return static_cast<int64_t>(next_page_) -
            static_cast<int64_t>(free_.size());
   }
-  /// Bytes of live spilled state addressed in this segment. Shrinks as
-  /// restores/drops recycle pages (the file itself keeps its
-  /// high-water size; it is scratch storage, unlinked on close).
-  int64_t bytes_on_disk() const { return live_pages() * kPageSize; }
+  /// Bytes of live spilled state on disk: pages written at least once
+  /// and not freed since. A page that never left its pool frame counts
+  /// nothing. Shrinks as restores/drops recycle pages (the file itself
+  /// keeps its high-water size; it is scratch storage, unlinked on
+  /// close).
+  int64_t bytes_on_disk() const { return written_pages_ * kPageSize; }
 
   /// Installs (or clears, with nullptr) the fault-injection seam on an
   /// already-open segment.
@@ -71,6 +73,9 @@ class SegmentFile {
   int fd_;
   PageId next_page_ = 0;
   std::vector<PageId> free_;
+  /// By page number: written since it was last allocated.
+  std::vector<bool> written_;
+  int64_t written_pages_ = 0;
   SegmentFaultInjector* injector_ = nullptr;
 };
 

@@ -29,12 +29,17 @@ void Atc::RecordIfComplete(RankMergeOp* rm) {
   completed_.push_back(m);
 }
 
+void Atc::MaintainIfNeeded(RankMergeOp* rm, ExecContext& ctx) {
+  // A merge completes only inside Maintain, so recording right after
+  // each Maintain records every completion, in completion order.
+  if (!rm->NeedsMaintain()) return;
+  rm->Maintain(ctx);
+  RecordIfComplete(rm);
+}
+
 void Atc::MaintainAll() {
   ExecContext ctx = MakeContext();
-  for (RankMergeOp* rm : graph_->rank_merges()) {
-    if (!rm->complete()) rm->Maintain(ctx);
-    RecordIfComplete(rm);
-  }
+  for (RankMergeOp* rm : graph_->rank_merges()) MaintainIfNeeded(rm, ctx);
 }
 
 bool Atc::Step() {
@@ -44,31 +49,22 @@ bool Atc::Step() {
   const size_t n = merges.size();
   for (size_t i = 0; i < n; ++i) {
     RankMergeOp* rm = merges[(rr_pos_ + i) % n];
-    if (rm->complete()) {
-      RecordIfComplete(rm);
-      continue;
-    }
-    rm->Maintain(ctx);
-    if (rm->complete()) {
-      RecordIfComplete(rm);
-      continue;
-    }
+    MaintainIfNeeded(rm, ctx);
+    if (rm->complete()) continue;
     StreamingSource* src = rm->PreferredStream();
     if (src == nullptr) {
       // Nothing to read for this query: final maintenance completes it.
-      rm->Maintain(ctx);
-      RecordIfComplete(rm);
+      MaintainIfNeeded(rm, ctx);
       continue;
     }
     std::optional<CompositeTuple> t = src->Next(ctx);
     if (t.has_value()) {
       graph_->RouteFromSource(src, *t, ctx);
     }
-    // A shared read may unblock any rank-merge: maintain them all.
-    for (RankMergeOp* m : merges) {
-      if (!m->complete()) m->Maintain(ctx);
-      RecordIfComplete(m);
-    }
+    // The read can unblock a merge only by moving a stream one of its
+    // live registrations bounds by, or by delivering it a result:
+    // maintain just the merges that NeedsMaintain reports.
+    for (RankMergeOp* m : merges) MaintainIfNeeded(m, ctx);
     rr_pos_ = (rr_pos_ + i + 1) % n;
     return true;
   }

@@ -5,6 +5,8 @@
 // (round-robin — the policy the paper found best), asks it for its
 // preferred input stream, reads one tuple from that stream, and pushes
 // the tuple through splits and m-joins to every query that uses it.
+// It then re-maintains only the rank-merges that read could change
+// (RankMergeOp::NeedsMaintain), so a round costs what its read changed.
 // Round-robin over rank-merges equals a voting scheme where the most
 // demanded streams are read most, while preventing starvation.
 //
@@ -85,7 +87,7 @@ class Atc {
   /// complete (nothing left to do).
   bool Step();
 
-  /// Maintains every incomplete rank-merge once and records new
+  /// Maintains every rank-merge that NeedsMaintain() and records new
   /// completions. Called by the engine right after a graft: late
   /// registrations (a recovery replay, an all-exhausted live port) can
   /// settle a merge's completion without any stream read, and deferring
@@ -120,6 +122,9 @@ class Atc {
   void RetireCompleted(int uq_id);
 
  private:
+  /// Maintains `rm` if NeedsMaintain() says Maintain could change it —
+  /// skipping is exact otherwise — and records its completion.
+  void MaintainIfNeeded(RankMergeOp* rm, ExecContext& ctx);
   void RecordIfComplete(RankMergeOp* rm);
 
   int id_;

@@ -26,6 +26,31 @@ std::string FingerprintResults(const std::vector<ResultTuple>& results) {
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kEps = 1e-12;
+
+// Any future result of a CQ must contain at least one unread tuple from
+// one of its streaming inputs J; every other component is bounded by
+// its input's overall maximum. With slack(J) = initial_max − frontier
+// the bound is C(max_sum − min over unexhausted J of slack(J)).
+double BoundOf(const CqRegistration& reg) {
+  double min_slack = std::numeric_limits<double>::infinity();
+  bool any_live = false;
+  for (const StreamingSource* s : reg.streams) {
+    if (s->exhausted()) continue;
+    any_live = true;
+    min_slack = std::min(min_slack, s->initial_max_sum() - s->frontier_sum());
+  }
+  if (!any_live) return kNegInf;
+  return reg.score_fn.Score(reg.max_sum - min_slack);
+}
+
+// Moves whenever any of the registration's streams may have advanced.
+int64_t FrontierVersion(const CqRegistration& reg) {
+  int64_t version = 0;
+  for (const StreamingSource* s : reg.streams) {
+    version += s->frontier_version();
+  }
+  return version;
+}
 }  // namespace
 
 bool ResultTupleOrder::operator()(const ResultTuple& a,
@@ -60,6 +85,7 @@ int RankMergeOp::RegisterCq(CqRegistration reg) {
   slot.reg = std::move(reg);
   regs_.push_back(std::move(slot));
   complete_ = false;
+  dirty_ = true;
   return static_cast<int>(regs_.size()) - 1;
 }
 
@@ -88,36 +114,49 @@ void RankMergeOp::Consume(int port, const CompositeTuple& tuple,
   b.port = port;
   b.seq = seq_counter_++;
   b.tuple = tuple;
-  buffer_.push(std::move(b));
+  buffer_.push_back(std::move(b));
+  std::push_heap(buffer_.begin(), buffer_.end());
+  dirty_ = true;
 }
 
 double RankMergeOp::Threshold(int port) const {
   const CqSlot& slot = regs_[port];
   if (slot.status == CqStatus::kDone) return kNegInf;
-  // Any future result of this CQ must contain at least one unread tuple
-  // from one of its streaming inputs J; every other component is bounded
-  // by its input's overall maximum. With slack(J) = initial_max − frontier
-  // the bound is C(max_sum − min over unexhausted J of slack(J)).
-  double min_slack = std::numeric_limits<double>::infinity();
-  bool any_live = false;
-  for (const StreamingSource* s : slot.reg.streams) {
-    if (s->exhausted()) continue;
-    any_live = true;
-    min_slack = std::min(min_slack, s->initial_max_sum() - s->frontier_sum());
-  }
-  if (!any_live) return kNegInf;
-  return slot.reg.score_fn.Score(slot.reg.max_sum - min_slack);
+  return BoundOf(slot.reg);
 }
 
-double RankMergeOp::GlobalThreshold() const {
-  double best = kNegInf;
-  for (size_t p = 0; p < regs_.size(); ++p) {
-    best = std::max(best, Threshold(static_cast<int>(p)));
+bool RankMergeOp::RefreshBounds() {
+  bool moved = false;
+  for (CqSlot& slot : regs_) {
+    if (slot.status == CqStatus::kDone) continue;
+    const int64_t version = FrontierVersion(slot.reg);
+    if (version == slot.bound_version) continue;
+    slot.bound = BoundOf(slot.reg);
+    slot.bound_version = version;
+    moved = true;
   }
+  return moved;
+}
+
+bool RankMergeOp::NeedsMaintain() const {
+  if (complete_) return false;
+  if (dirty_) return true;
+  for (const CqSlot& slot : regs_) {
+    if (slot.status != CqStatus::kDone &&
+        slot.bound_version != FrontierVersion(slot.reg)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+double RankMergeOp::GlobalBound() const {
+  double best = kNegInf;
+  for (const CqSlot& slot : regs_) best = std::max(best, slot.bound);
   return best;
 }
 
-double RankMergeOp::KthKnownScore() const {
+double RankMergeOp::KthKnownScore() {
   // Scores of emitted results are all >= anything buffered, so count
   // them first.
   int64_t have = static_cast<int64_t>(results_.size());
@@ -125,32 +164,45 @@ double RankMergeOp::KthKnownScore() const {
   // Need (k - have) more from the buffer.
   int64_t need = k_ - have;
   if (static_cast<int64_t>(buffer_.size()) < need) return kNegInf;
-  // Copy out the buffer's top `need` scores.
-  std::vector<double> scores;
-  scores.reserve(buffer_.size());
-  std::priority_queue<Buffered> copy = buffer_;
-  double kth = kNegInf;
+  // Read the heap in place: a best-first walk from the root that
+  // expands a node's children when it pops visits scores in
+  // nonincreasing order, so the need-th pop is the need-th best score.
+  auto lower = [this](size_t a, size_t b) {
+    return buffer_[a].score < buffer_[b].score;
+  };
+  kth_walk_.assign(1, 0);
+  size_t node = 0;
   for (int64_t i = 0; i < need; ++i) {
-    kth = copy.top().score;
-    copy.pop();
+    std::pop_heap(kth_walk_.begin(), kth_walk_.end(), lower);
+    node = kth_walk_.back();
+    kth_walk_.pop_back();
+    for (size_t child = 2 * node + 1;
+         child <= 2 * node + 2 && child < buffer_.size(); ++child) {
+      kth_walk_.push_back(child);
+      std::push_heap(kth_walk_.begin(), kth_walk_.end(), lower);
+    }
   }
-  return kth;
+  return buffer_[node].score;
+}
+
+RankMergeOp::Buffered RankMergeOp::PopBest() {
+  std::pop_heap(buffer_.begin(), buffer_.end());
+  Buffered best = std::move(buffer_.back());
+  buffer_.pop_back();
+  return best;
 }
 
 StreamingSource* RankMergeOp::PreferredStream() {
   if (complete_) return nullptr;
-  // Find the registration with the highest threshold that can still be
-  // advanced by a read.
+  // A bound that moved since the last Maintain leaves it owed.
+  if (RefreshBounds()) dirty_ = true;
+  // Find the registration with the highest bound; a finite bound means
+  // one of its streams is unexhausted, so a read can advance it.
   int best_port = -1;
   double best_threshold = kNegInf;
   for (size_t p = 0; p < regs_.size(); ++p) {
-    double t = Threshold(static_cast<int>(p));
+    double t = regs_[p].bound;
     if (t == kNegInf) continue;
-    bool readable = false;
-    for (StreamingSource* s : regs_[p].reg.streams) {
-      if (!s->exhausted()) readable = true;
-    }
-    if (!readable) continue;
     if (best_port < 0 || t > best_threshold) {
       best_port = static_cast<int>(p);
       best_threshold = t;
@@ -193,6 +245,7 @@ void RankMergeOp::MarkDone(int port) {
   CqSlot& slot = regs_[port];
   if (slot.status == CqStatus::kDone) return;
   slot.status = CqStatus::kDone;
+  slot.bound = kNegInf;
   // A logical CQ may have several registrations (the live pipeline plus
   // an epoch-recovery replay, §6.2). Its plan path may only be unlinked
   // once the *last* of them finishes.
@@ -208,38 +261,42 @@ void RankMergeOp::MarkDone(int port) {
 
 void RankMergeOp::Maintain(ExecContext& ctx) {
   if (complete_) return;
-  // Emit buffered results that clear the global threshold.
+  RefreshBounds();
+  // Emit buffered results that clear the global threshold. No bound
+  // moves while emitting, so the bar holds for the whole loop.
+  const double bar = GlobalBound();
   while (static_cast<int>(results_.size()) < k_ && !buffer_.empty()) {
-    double bar = GlobalThreshold();
-    const Buffered& top = buffer_.top();
-    if (top.score + kEps < bar) break;
+    if (buffer_.front().score + kEps < bar) break;
+    Buffered top = PopBest();
     ResultTuple r;
     r.score = top.score;
     r.cq_id = regs_[top.port].reg.cq_id;
-    r.tuple = top.tuple;
+    r.tuple = std::move(top.tuple);
     r.emitted_at_us = ctx.clock->now();
     results_.push_back(std::move(r));
     ctx.stats->results_emitted += 1;
-    buffer_.pop();
   }
   // Prune CQs that can no longer contribute: threshold below the kth
-  // known answer (§6.3).
+  // known answer (§6.3). This never lowers the bar: unless k results
+  // are out (emission is over) or the buffer is empty (the kth known
+  // score is then −inf), the loop above stopped at a best buffered
+  // score below bar − ε, and the kth known score is at most that
+  // score, so a registration holding the bar is never below it.
   double kth = KthKnownScore();
   if (kth > kNegInf) {
     for (size_t p = 0; p < regs_.size(); ++p) {
       if (regs_[p].status == CqStatus::kDone) continue;
-      if (Threshold(static_cast<int>(p)) + kEps < kth) {
-        MarkDone(static_cast<int>(p));
-      }
+      if (regs_[p].bound + kEps < kth) MarkDone(static_cast<int>(p));
     }
   }
-  // Exhausted registrations are done too.
+  // Exhausted registrations are done too (their bound is already −inf).
   for (size_t p = 0; p < regs_.size(); ++p) {
     if (regs_[p].status == CqStatus::kDone) continue;
-    if (Threshold(static_cast<int>(p)) == kNegInf) {
-      MarkDone(static_cast<int>(p));
-    }
+    if (regs_[p].bound == kNegInf) MarkDone(static_cast<int>(p));
   }
+  // Nothing above changed an input of the next call: it would be a
+  // no-op until a result, registration or stream read arrives.
+  dirty_ = false;
   // Completion: k results out, or nothing can ever arrive again.
   //
   // "k results out" alone is not enough: a sibling registration whose
@@ -257,15 +314,15 @@ void RankMergeOp::Maintain(ExecContext& ctx) {
   if (static_cast<int>(results_.size()) >= k_) {
     const double kth = results_[k_ - 1].score;
     bool tied_bound_pending = false;
-    for (size_t p = 0; p < regs_.size(); ++p) {
-      if (regs_[p].status == CqStatus::kDone) continue;
-      if (Threshold(static_cast<int>(p)) + kEps >= kth) {
+    for (const CqSlot& slot : regs_) {
+      if (slot.status == CqStatus::kDone) continue;
+      if (slot.bound + kEps >= kth) {
         tied_bound_pending = true;
         break;
       }
     }
     if (!tied_bound_pending) complete_ = true;
-  } else if (GlobalThreshold() == kNegInf && buffer_.empty()) {
+  } else if (GlobalBound() == kNegInf && buffer_.empty()) {
     complete_ = true;
   }
   if (complete_ && complete_time_us_ == 0) {
@@ -277,15 +334,14 @@ void RankMergeOp::Maintain(ExecContext& ctx) {
     // fresh run (and a sharded run to an unsharded one).
     if (static_cast<int>(results_.size()) >= k_) {
       const double kth = results_[k_ - 1].score;
-      while (!buffer_.empty() && buffer_.top().score + kEps >= kth) {
-        const Buffered& top = buffer_.top();
+      while (!buffer_.empty() && buffer_.front().score + kEps >= kth) {
+        Buffered top = PopBest();
         ResultTuple r;
         r.score = top.score;
         r.cq_id = regs_[top.port].reg.cq_id;
-        r.tuple = top.tuple;
+        r.tuple = std::move(top.tuple);
         r.emitted_at_us = ctx.clock->now();
         results_.push_back(std::move(r));
-        buffer_.pop();
       }
     }
     std::stable_sort(results_.begin(), results_.end(), ResultTupleOrder());

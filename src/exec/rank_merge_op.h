@@ -14,7 +14,7 @@
 #define QSYS_EXEC_RANK_MERGE_OP_H_
 
 #include <functional>
-#include <queue>
+#include <limits>
 #include <string>
 #include <set>
 #include <utility>
@@ -101,10 +101,6 @@ class RankMergeOp : public Operator {
   /// registration on `port` (−inf when it can produce nothing more).
   double Threshold(int port) const;
 
-  /// max over registrations of Threshold() — the bar a buffered result
-  /// must clear to be emitted.
-  double GlobalThreshold() const;
-
   /// Picks the stream whose read most reduces the governing threshold,
   /// activating the owning CQ if it was pending (this is where Table 4's
   /// "CQs executed" counter advances). Returns nullptr when no read can
@@ -115,6 +111,15 @@ class RankMergeOp : public Operator {
   /// prunes contributing CQs whose bound fell below the kth answer, and
   /// detects completion.
   void Maintain(ExecContext& ctx);
+
+  /// Whether Maintain() could change anything: true until the first
+  /// Maintain(), and afterwards once a result was consumed, a CQ
+  /// registered or a stream of a live registration advanced. Otherwise
+  /// Maintain() is a deterministic no-op — a call leaves nothing for an
+  /// identical next call, since its prunes never lower the emission bar
+  /// — and skipping it leaves every answer, emission time and
+  /// completion time unchanged.
+  bool NeedsMaintain() const;
 
   bool complete() const { return complete_; }
   int uq_id() const { return uq_id_; }
@@ -169,6 +174,11 @@ class RankMergeOp : public Operator {
   struct CqSlot {
     CqRegistration reg;
     CqStatus status = CqStatus::kPending;
+    /// Threshold() as of the stream frontier versions summing to
+    /// `bound_version` (−inf once done); RefreshBounds() recomputes it
+    /// only after one of the registration's streams has advanced.
+    double bound = -std::numeric_limits<double>::infinity();
+    int64_t bound_version = -1;
   };
 
   struct Buffered {
@@ -182,9 +192,20 @@ class RankMergeOp : public Operator {
     }
   };
 
+  /// Brings every live registration's cached bound up to date with its
+  /// streams' frontiers; returns whether any bound was recomputed.
+  bool RefreshBounds();
+
+  /// max over registrations of their cached bounds — the bar a buffered
+  /// result must clear to be emitted.
+  double GlobalBound() const;
+
   /// kth best score across emitted + buffered results (−inf if fewer
   /// than k are known).
-  double KthKnownScore() const;
+  double KthKnownScore();
+
+  /// Pops the best buffered result (buffer_ is a binary max-heap).
+  Buffered PopBest();
 
   void MarkDone(int port);
 
@@ -199,7 +220,13 @@ class RankMergeOp : public Operator {
   VirtualTime complete_time_us_ = 0;
   bool complete_ = false;
   std::vector<CqSlot> regs_;
-  std::priority_queue<Buffered> buffer_;
+  /// Buffered results, a binary max-heap under Buffered::operator<.
+  std::vector<Buffered> buffer_;
+  /// Scratch heap of buffer_ indices for KthKnownScore's walk.
+  std::vector<size_t> kth_walk_;
+  /// A result or registration arrived since the last Maintain, or a
+  /// bound moved without one (NeedsMaintain).
+  bool dirty_ = true;
   std::vector<ResultTuple> results_;
   std::set<int> executed_cq_ids_;
   std::set<int> all_cq_ids_;

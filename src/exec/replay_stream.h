@@ -31,20 +31,6 @@ class ReplayStream : public StreamingSource {
         table_(table),
         limit_(table->CountBefore(max_epoch_exclusive)) {}
 
-  Status Open(ExecContext& ctx) override {
-    (void)ctx;
-    return Status::OK();
-  }
-
-  std::optional<CompositeTuple> Next(ExecContext& ctx) override {
-    if (cursor_ >= limit_) return std::nullopt;
-    // In-memory replay: charge a hash-probe-sized CPU cost, no network.
-    ctx.Charge(TimeBucket::kJoin,
-               static_cast<VirtualTime>(ctx.delays->params().join_probe_us));
-    ++tuples_read_;
-    return table_->entry(cursor_++);
-  }
-
   double frontier_sum() const override {
     if (cursor_ >= limit_) {
       return -std::numeric_limits<double>::infinity();
@@ -56,6 +42,21 @@ class ReplayStream : public StreamingSource {
 
   /// Number of entries this replay will deliver in total.
   int64_t limit() const { return limit_; }
+
+ protected:
+  Status Open(ExecContext& ctx) override {
+    (void)ctx;
+    return Status::OK();
+  }
+
+  std::optional<CompositeTuple> Read(ExecContext& ctx) override {
+    if (cursor_ >= limit_) return std::nullopt;
+    // In-memory replay: charge a hash-probe-sized CPU cost, no network.
+    ctx.Charge(TimeBucket::kJoin,
+               static_cast<VirtualTime>(ctx.delays->params().join_probe_us));
+    ++tuples_read_;
+    return table_->entry(cursor_++);
+  }
 
  private:
   const JoinHashTable* table_;

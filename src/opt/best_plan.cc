@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <unordered_map>
 
 namespace qsys {
 
@@ -123,14 +124,6 @@ void BestPlanSearch::RecordAlternative(
   if (static_cast<int>(alts.size()) > kMaxAlternatives) alts.pop_back();
 }
 
-std::string BestPlanSearch::MemoKey(const std::vector<Chosen>& chosen) const {
-  std::string key;
-  for (const Chosen& c : chosen) {
-    key += std::to_string(c.cand_index) + ",";
-  }
-  return key;
-}
-
 void BestPlanSearch::Search(
     const std::vector<const ConjunctiveQuery*>& queries,
     const std::vector<CandidateInput>& candidates,
@@ -140,14 +133,9 @@ void BestPlanSearch::Search(
   if (progress_ != nullptr) {
     progress_->fetch_add(1, std::memory_order_relaxed);
   }
-  std::string key = MemoKey(chosen);
-  if (memo_.count(key) > 0) return;
-  memo_[key] = 0.0;
-
   // Cost the plan that uses exactly the chosen candidates.
   InputAssignment assignment;
   double cost = CompleteAndCost(queries, candidates, chosen, &assignment);
-  memo_[key] = cost;
   if (collect_alternatives_) {
     RecordAlternative(candidates, chosen, cost, best);
   }
@@ -179,7 +167,6 @@ BestPlanResult BestPlanSearch::Run(
   BestPlanResult best;
   best.cost = std::numeric_limits<double>::infinity();
   best.num_candidates = static_cast<int>(candidates.size());
-  memo_.clear();
   std::vector<Chosen> chosen;
   Search(queries, candidates, chosen, 0, &best);
   return best;

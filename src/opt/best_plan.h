@@ -1,11 +1,11 @@
-// The BestPlan search (Algorithm 1 of the paper, §5.1.2): memoized
-// top-down exploration — in the style of the Volcano optimizer — of which
+// The BestPlan search (Algorithm 1 of the paper, §5.1.2): top-down
+// exploration — in the style of the Volcano optimizer — of which
 // candidate subexpressions to push down to the sources, minimizing the
 // estimated cost of answering the whole query batch.
 //
-// Candidates are explored in canonical (index-increasing) order so each
-// combination is visited once; partial assignments are memoized by their
-// chosen-candidate set. When a candidate J is chosen for queries S[J],
+// Candidates are explored in canonical (index-increasing) order, so each
+// combination of chosen candidates is visited exactly once and no memo
+// is needed. When a candidate J is chosen for queries S[J],
 // every candidate overlapping J loses those queries from its usable set
 // (Definition 1: each relation of each query is covered by exactly one
 // input). Atoms left uncovered when the search stops are completed with
@@ -16,8 +16,9 @@
 #define QSYS_OPT_BEST_PLAN_H_
 
 #include <atomic>
+#include <set>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/opt/cost_model.h"
@@ -92,8 +93,6 @@ class BestPlanSearch {
               std::vector<Chosen>& chosen, int next_index,
               BestPlanResult* best);
 
-  std::string MemoKey(const std::vector<Chosen>& chosen) const;
-
   /// Keeps the cost-ascending top-kMaxAlternatives explored assignments.
   void RecordAlternative(const std::vector<CandidateInput>& candidates,
                          const std::vector<Chosen>& chosen, double cost,
@@ -106,7 +105,6 @@ class BestPlanSearch {
   int reuse_tag_;
   bool collect_alternatives_;
   std::atomic<int64_t>* progress_;
-  std::unordered_map<std::string, double> memo_;
 };
 
 /// Builds the residual input assignment for `queries` given already

@@ -19,7 +19,7 @@ Status MaterializedStream::Open(ExecContext& ctx) {
   return Status::OK();
 }
 
-std::optional<CompositeTuple> MaterializedStream::Next(ExecContext& ctx) {
+std::optional<CompositeTuple> MaterializedStream::Read(ExecContext& ctx) {
   if (!opened_) {
     Status s = Open(ctx);
     if (!s.ok()) return std::nullopt;

@@ -32,13 +32,12 @@ class StreamingSource {
 
   const Expr& expr() const { return expr_; }
 
-  /// Prepares the stream (for pushdowns: remote evaluation + setup
-  /// charge). Idempotent; called on first read if not before.
-  virtual Status Open(ExecContext& ctx) = 0;
-
   /// Next tuple in score order, or nullopt when exhausted. Charges the
-  /// per-tuple stream delay.
-  virtual std::optional<CompositeTuple> Next(ExecContext& ctx) = 0;
+  /// per-tuple stream delay. Every read bumps frontier_version().
+  std::optional<CompositeTuple> Next(ExecContext& ctx) {
+    ++frontier_version_;
+    return Read(ctx);
+  }
 
   /// Upper bound on sum_scores() of any *unread* tuple: the statistics
   /// bound before opening, the next tuple's sum after, −inf when
@@ -49,6 +48,12 @@ class StreamingSource {
 
   /// Upper bound on sum_scores() of *any* tuple (read or not); constant.
   double initial_max_sum() const { return initial_max_sum_; }
+
+  /// Changes whenever frontier_sum() or exhausted() may have changed.
+  /// Reads are the only way a stream advances (Open runs inside the
+  /// first read), so a rank-merge can cache a bound derived from this
+  /// stream until the version moves.
+  int64_t frontier_version() const { return frontier_version_; }
 
   int64_t tuples_read() const { return tuples_read_; }
 
@@ -64,11 +69,21 @@ class StreamingSource {
   void set_producer_uq(int uq) { producer_uq_ = uq; }
 
  protected:
+  /// Prepares the stream (for pushdowns: remote evaluation + setup
+  /// charge). Idempotent; the first read calls it.
+  virtual Status Open(ExecContext& ctx) = 0;
+
+  /// The subclass's read behind Next().
+  virtual std::optional<CompositeTuple> Read(ExecContext& ctx) = 0;
+
   Expr expr_;
   double initial_max_sum_;
   int64_t tuples_read_ = 0;
   int id_ = -1;
   int producer_uq_ = -1;
+
+ private:
+  int64_t frontier_version_ = 0;
 };
 
 /// \brief Streaming source that materializes its (sorted) result at the
@@ -83,8 +98,6 @@ class MaterializedStream : public StreamingSource {
   MaterializedStream(Expr expr, double initial_max_sum)
       : StreamingSource(std::move(expr), initial_max_sum) {}
 
-  Status Open(ExecContext& ctx) override;
-  std::optional<CompositeTuple> Next(ExecContext& ctx) override;
   double frontier_sum() const override;
   bool exhausted() const override;
 
@@ -93,6 +106,10 @@ class MaterializedStream : public StreamingSource {
     return static_cast<int64_t>(tuples_.size());
   }
   bool opened() const { return opened_; }
+
+ protected:
+  Status Open(ExecContext& ctx) override;
+  std::optional<CompositeTuple> Read(ExecContext& ctx) override;
 
  private:
   bool opened_ = false;

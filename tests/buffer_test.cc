@@ -5,6 +5,7 @@
 // tight-budget spill-enabled run with a never-evicted run.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstring>
@@ -289,6 +290,48 @@ TEST_F(SpillWritePathTest, PageRestoredWhileResidentIsNeverWritten) {
                 0);
     }
   }
+}
+
+TEST_F(SpillWritePathTest, BytesOnDiskCountsOnlyWrittenPages) {
+  auto spill = SpillManager::Open(TempSpillDir("on_disk"), 8);
+  ASSERT_TRUE(spill.ok()) << spill.status().ToString();
+  // Distinct three-slot composites over the 32-row table.
+  auto make_table = [&](int entries) {
+    JoinHashTable table(&catalog_);
+    for (int i = 0; i < entries; ++i) {
+      CompositeTuple t = CompositeTuple::WithSlots(3);
+      t.set_ref(0, {tid_, static_cast<RowId>(i % 32), 1.0 / (i + 1)});
+      t.set_ref(1, {tid_, static_cast<RowId>(i / 32 % 32), 0.25});
+      t.set_ref(2, {tid_, static_cast<RowId>(i / 1024), 0.5});
+      t.RecomputeSum();
+      EXPECT_TRUE(table.Insert(0, std::move(t)));
+    }
+    return table;
+  };
+  const std::string segment = spill.value()->dir() + "/spill.seg";
+  auto file_bytes = [&segment]() -> int64_t {
+    struct stat st;
+    return ::stat(segment.c_str(), &st) == 0 ? st.st_size : -1;
+  };
+
+  // A 32-entry table takes one page, which stays in its frame: the
+  // segment file is empty and the gauge reports no bytes on disk.
+  ASSERT_TRUE(spill.value()->SpillTable("small", make_table(32)).ok());
+  EXPECT_EQ(file_bytes(), 0);
+  EXPECT_EQ(spill.value()->stats().pages_written, 0);
+  EXPECT_EQ(spill.value()->stats().bytes_on_disk, 0);
+
+  // A table larger than the pool recycles frames, writing their pages.
+  ASSERT_TRUE(spill.value()->SpillTable("big", make_table(4096)).ok());
+  const SpillStats stats = spill.value()->stats();
+  EXPECT_GT(stats.pages_written, 0);
+  EXPECT_EQ(stats.bytes_on_disk, stats.pages_written * kPageSize);
+  EXPECT_GE(file_bytes(), stats.bytes_on_disk);
+
+  // Dropping both tables frees every page, written or not.
+  spill.value()->Drop("small");
+  spill.value()->Drop("big");
+  EXPECT_EQ(spill.value()->stats().bytes_on_disk, 0);
 }
 
 // ---- state manager demotion ----

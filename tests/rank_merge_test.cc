@@ -19,7 +19,7 @@ class FakeStream : public StreamingSource {
 
   Status Open(ExecContext&) override { return Status::OK(); }
 
-  std::optional<CompositeTuple> Next(ExecContext&) override {
+  std::optional<CompositeTuple> Read(ExecContext&) override {
     if (cursor_ >= sums_.size()) return std::nullopt;
     CompositeTuple t = CompositeTuple::ForBase(0, cursor_, sums_[cursor_]);
     ++cursor_;
@@ -252,6 +252,63 @@ TEST_F(RankMergeTest, CompletesAtExactlyK) {
   merge.Consume(port, TupleWithSum(0.5), ctx);
   EXPECT_EQ(merge.results().size(), 2u);
   EXPECT_GT(merge.StateSizeBytes(), 0);
+}
+
+TEST_F(RankMergeTest, MaintainAfterPruneHasNothingLeftToDo) {
+  RankMergeOp merge(1, 2, 0);
+  FakeStream hot({0.9, 0.8, 0.7}, 0.9);
+  FakeStream weak({0.3, 0.2}, 0.3);
+  CqRegistration strong;
+  strong.cq_id = 1;
+  strong.score_fn = ScoreFunction::DiscoverSum(1);
+  strong.max_sum = 0.9;
+  strong.streams = {&hot};
+  strong.initially_active = true;
+  CqRegistration feeble;
+  feeble.cq_id = 2;
+  feeble.score_fn = ScoreFunction::DiscoverSum(1);
+  feeble.max_sum = 0.3;
+  feeble.streams = {&weak};
+  feeble.initially_active = true;
+  int sp = merge.RegisterCq(strong);
+  merge.RegisterCq(feeble);
+  int prunes = 0;
+  merge.on_cq_pruned = [&](int) { ++prunes; };
+  ExecContext ctx = Ctx();
+  EXPECT_TRUE(merge.NeedsMaintain());  // never maintained
+
+  // hot's frontier still promises 0.9, so 0.9 emits and 0.8 waits; the
+  // kth known score, 0.8, prunes feeble's 0.3 bound.
+  merge.Consume(sp, TupleWithSum(0.9), ctx);
+  merge.Consume(sp, TupleWithSum(0.8), ctx);
+  merge.Maintain(ctx);
+  ASSERT_EQ(merge.results().size(), 1u);
+  EXPECT_EQ(prunes, 1);
+  EXPECT_FALSE(merge.complete());
+
+  // The prune left the bar where it was (strong's 0.9): with no new
+  // input, the next call has nothing to emit, prune or complete.
+  EXPECT_FALSE(merge.NeedsMaintain());
+  merge.Maintain(ctx);
+  EXPECT_EQ(merge.results().size(), 1u);
+  EXPECT_EQ(prunes, 1);
+  EXPECT_FALSE(merge.complete());
+  EXPECT_EQ(stats_.results_emitted, 1);
+
+  // Reading a pruned registration's stream changes no bound.
+  weak.Next(ctx);
+  EXPECT_FALSE(merge.NeedsMaintain());
+  // Reading a live one does: hot's frontier drops to 0.8, which 0.8
+  // clears.
+  hot.Next(ctx);
+  EXPECT_TRUE(merge.NeedsMaintain());
+  merge.Maintain(ctx);
+  EXPECT_EQ(merge.results().size(), 2u);
+  EXPECT_FALSE(merge.NeedsMaintain());
+  // A consumed result is new input too.
+  ASSERT_FALSE(merge.complete());  // strong's bound still ties the kth
+  merge.Consume(sp, TupleWithSum(0.75), ctx);
+  EXPECT_TRUE(merge.NeedsMaintain());
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ class VectorStream : public StreamingSource {
 
   Status Open(ExecContext&) override { return Status::OK(); }
 
-  std::optional<CompositeTuple> Next(ExecContext&) override {
+  std::optional<CompositeTuple> Read(ExecContext&) override {
     if (cursor_ >= tuples_.size()) return std::nullopt;
     ++tuples_read_;
     return tuples_[cursor_++];
