@@ -63,8 +63,8 @@ struct FaultPlan {
   /// Transiency bound: at most this many *consecutive* injected hard
   /// errors per operation kind, after which the next call is forced
   /// through. The spill tier's bounded per-page retry (which makes
-  /// injected read faults answer-preserving) relies on this bound
-  /// being below its retry budget.
+  /// injected read and write faults answer-preserving) relies on this
+  /// bound being below its retry budget.
   int max_consecutive_errors = 2;
 };
 

@@ -32,7 +32,8 @@ namespace qsys {
 /// SpillManager::FinishSpill takes one by reference.)
 class SpillPageWriter {
  public:
-  explicit SpillPageWriter(BufferManager* pool) : pool_(pool) {}
+  explicit SpillPageWriter(SpillManager* owner)
+      : owner_(owner), pool_(&owner->pool_) {}
 
   ~SpillPageWriter() {
     // A writer abandoned mid-payload (serialization error) releases
@@ -86,7 +87,9 @@ class SpillPageWriter {
 
  private:
   Status OpenPage() {
-    auto page = pool_->NewPage();
+    // A fresh page may recycle a dirty frame whose write-back fails
+    // transiently; retry like a restore's pin does.
+    auto page = owner_->RetryTransient([this] { return pool_->NewPage(); });
     QSYS_RETURN_IF_ERROR(page.status());
     current_ = page.value().id;
     frame_ = page.value().frame;
@@ -102,6 +105,7 @@ class SpillPageWriter {
     in_page_ = 0;
   }
 
+  SpillManager* owner_;
   BufferManager* pool_;
   std::vector<PageId> pages_;
   PageId current_ = kInvalidPageId;
@@ -266,38 +270,38 @@ void SpillManager::set_fault_injector(SegmentFaultInjector* injector) {
   if (segment_ != nullptr) segment_->set_fault_injector(injector);
 }
 
+template <typename Op>
+auto SpillManager::RetryTransient(Op op) -> decltype(op()) {
+  // Retry budget: above FaultPlan's default max_consecutive_errors, so
+  // an injected (or real EINTR-class) transient fault never fails a
+  // demotion or a restore outright — it just costs extra attempts.
+  constexpr int kTransientRetries = 4;
+  // Base backoff between attempts; doubled per retry and jittered to
+  // 50–150%.
+  constexpr int64_t kRetryBackoffBaseUs = 50;
+  auto result = op();
+  for (int retry = 0; !result.ok() && retry < kTransientRetries; ++retry) {
+    faults_.fetch_add(1, std::memory_order_relaxed);
+    jitter_state_ =
+        jitter_state_ * 6364136223846793005ull + 1442695040888963407ull;
+    const int64_t base = kRetryBackoffBaseUs << retry;
+    const int64_t sleep_us =
+        base / 2 + static_cast<int64_t>((jitter_state_ >> 33) %
+                                        static_cast<uint64_t>(base));
+    retry_waits_.fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
+    result = op();
+  }
+  return result;
+}
+
 Status SpillManager::ReadPayload(const Handle& handle,
                                  std::vector<uint8_t>* payload) {
-  // Transient fault budget per page: above FaultPlan's default
-  // max_consecutive_errors, so an injected (or real EINTR-class)
-  // transient read error, or a failed write-back of the frame the pin
-  // recycles, never fails a restore outright — it just costs extra
-  // attempts, each counted as a survived fault.
-  constexpr int kTransientReadRetries = 4;
-  // Base backoff between attempts; doubled per retry and jittered to
-  // 50–150% so concurrent restores against the same flaky device don't
-  // retry in lockstep. Each wait is counted in
-  // SpillStats::read_retry_waits.
-  constexpr int64_t kRetryBackoffBaseUs = 50;
   payload->clear();
   payload->reserve(static_cast<size_t>(handle.payload_bytes));
   int64_t remaining = handle.payload_bytes;
-  // Cheap per-call jitter state, seeded from the page being read so the
-  // sleep pattern differs across pages without global state.
-  uint64_t jitter_state =
-      0x9e3779b97f4a7c15ull ^ (handle.pages.empty() ? 0 : handle.pages[0]);
   for (PageId id : handle.pages) {
-    auto frame = pool_.Pin(id);
-    for (int retry = 0; !frame.ok() && retry < kTransientReadRetries;
-         ++retry) {
-      faults_.fetch_add(1, std::memory_order_relaxed);
-      jitter_state = jitter_state * 6364136223846793005ull + 1442695040888963407ull;
-      const int64_t base = kRetryBackoffBaseUs << retry;
-      const int64_t sleep_us = base / 2 + (jitter_state >> 33) % base;
-      read_retry_waits_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-      frame = pool_.Pin(id);
-    }
+    auto frame = RetryTransient([this, id] { return pool_.Pin(id); });
     QSYS_RETURN_IF_ERROR(frame.status());
     int64_t n = std::min<int64_t>(kPageSize, remaining);
     payload->insert(payload->end(), frame.value(), frame.value() + n);
@@ -357,7 +361,7 @@ Status SpillManager::DoSpillTable(const std::string& key,
   // Stream the victim straight into pool frames, entry by entry — no
   // contiguous staging buffer (demotion happens under memory pressure,
   // where a payload-sized heap spike is the worst possible time).
-  SpillPageWriter writer(&pool_);
+  SpillPageWriter writer(this);
   QSYS_RETURN_IF_ERROR(writer.Put<int64_t>(table.num_entries()));
   for (int64_t i = 0; i < table.num_entries(); ++i) {
     const CompositeTuple& t = table.entry(i);
@@ -442,7 +446,7 @@ Status SpillManager::DoSpillProbeCache(const std::string& key,
   std::lock_guard<std::mutex> lock(mu_);
   QSYS_RETURN_IF_ERROR(OpenSegment());
   const ProbeSource::CacheMap& cache = probe.cache();
-  SpillPageWriter writer(&pool_);
+  SpillPageWriter writer(this);
   QSYS_RETURN_IF_ERROR(
       writer.Put<int64_t>(static_cast<int64_t>(cache.size())));
   for (const auto& [value, answers] : cache) {
@@ -526,7 +530,7 @@ SpillStats SpillManager::stats() const {
   s.items_spilled = items_spilled_;
   s.items_restored = items_restored_;
   s.spill_faults = faults_.load(std::memory_order_relaxed);
-  s.read_retry_waits = read_retry_waits_.load(std::memory_order_relaxed);
+  s.read_retry_waits = retry_waits_.load(std::memory_order_relaxed);
   if (segment_ != nullptr) s.bytes_on_disk = segment_->bytes_on_disk();
   return s;
 }

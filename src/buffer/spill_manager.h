@@ -69,8 +69,9 @@ class SpillManager {
   /// Serializes `table` (entries in arrival order, with epoch tags)
   /// under `key`, superseding any earlier spill with the same key.
   /// Demotion fills pool frames; it writes to disk only the dirty pages
-  /// whose frames it recycles, and fails (keeping no handle) if one of
-  /// those writes fails.
+  /// whose frames it recycles, retries a failed write-back like a
+  /// restore retries a failed read, and fails (keeping no handle) if
+  /// the retries run out.
   Status SpillTable(const std::string& key, const JoinHashTable& table);
 
   /// Serializes `probe`'s answer cache under `key` (same page path as
@@ -108,9 +109,10 @@ class SpillManager {
     return handles_.count(key) > 0;
   }
   /// Items (table entries / cached probe keys) in the spilled payload
-  /// (0 when `key` is absent). Grafting compares this against the
-  /// fullest live prefix to decide whether a parked disk copy is the
-  /// more complete version of a module table.
+  /// (0 when `key` is absent). The state manager compares this against
+  /// its fullest listed copy to decide whether a parked disk copy is
+  /// the more complete version of a module table, and whether it
+  /// covers an eviction victim.
   int64_t SpilledItems(const std::string& key) const;
 
   /// Discards the spilled copy of `key` (stale after the in-memory
@@ -174,11 +176,20 @@ class SpillManager {
   Status FinishSpill(SpillPageWriter& writer, int64_t items,
                      const std::string& key);
 
-  /// Reassembles a handle's payload from its pages (restores only).
-  /// A failed pin (a failed page read, or a failed write-back of the
-  /// frame it recycles) is retried a bounded number of times (each
-  /// counted in faults_) before the error propagates.
+  /// Reassembles a handle's payload from its pages (restores only),
+  /// pinning each page through RetryTransient.
   Status ReadPayload(const Handle& handle, std::vector<uint8_t>* payload);
+
+  /// Runs `op` — one page pin on restore, one fresh page on demotion —
+  /// and retries a failure (a failed page read, or a failed write-back
+  /// of the dirty frame the call recycles) up to four times, sleeping a
+  /// doubled, jittered backoff before each retry. Each retry is counted
+  /// in faults_ and retry_waits_. Caller holds mu_.
+  template <typename Op>
+  auto RetryTransient(Op op) -> decltype(op());
+
+  // SpillPageWriter allocates its pages through RetryTransient.
+  friend class SpillPageWriter;
 
   // Fallible bodies of the public demote/restore entry points; the
   // public wrappers count failures into faults_.
@@ -202,9 +213,12 @@ class SpillManager {
   /// Survived I/O faults (atomic: the public wrappers count failures
   /// after mu_ is released, and faults() reads without taking it).
   std::atomic<int64_t> faults_{0};
-  /// Backoff sleeps taken between transient-read retry attempts
-  /// (SpillStats::read_retry_waits).
-  std::atomic<int64_t> read_retry_waits_{0};
+  /// Backoff sleeps taken between transient page-I/O retry attempts,
+  /// on restores and demotions alike (SpillStats::read_retry_waits).
+  std::atomic<int64_t> retry_waits_{0};
+  /// RetryTransient's backoff jitter state (guarded by mu_): successive
+  /// retries sleep different amounts.
+  uint64_t jitter_state_ = 0x9e3779b97f4a7c15ull;
   /// Fault-injection seam handed to the segment file (null in
   /// production).
   SegmentFaultInjector* injector_ = nullptr;

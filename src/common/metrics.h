@@ -112,13 +112,14 @@ struct SpillStats {
   /// still resident in the pool counts, though it is written only if
   /// its frame is recycled.
   int64_t bytes_on_disk = 0;
-  /// I/O faults the spill tier survived by degrading — demotion kept
-  /// the victim in memory, or a restore was retried or abandoned —
-  /// instead of losing answers.
+  /// I/O faults the spill tier survived by degrading — a page I/O was
+  /// retried, or a demotion or restore was abandoned (the victim kept
+  /// in memory, the restore re-executed) — instead of losing answers.
   int64_t spill_faults = 0;
-  /// Jittered-backoff waits taken between transient-read retry
-  /// attempts (SpillManager::ReadPayload). A climbing value means the
-  /// pool is riding out flaky reads instead of spinning on them.
+  /// Jittered-backoff waits taken between transient page-I/O retry
+  /// attempts on restores and demotions (SpillManager::RetryTransient).
+  /// A climbing value means the pool is riding out flaky I/O instead of
+  /// spinning on it.
   int64_t read_retry_waits = 0;
 
   /// One-line rendering for logs and bench output.

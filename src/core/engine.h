@@ -262,6 +262,9 @@ class Engine {
   /// Grafting/reuse observability.
   const PlanGrafter& grafter() const { return *grafter_; }
   StateManager& state_manager() { return *state_manager_; }
+  /// Shared streams and probe sources (probe caches count against the
+  /// memory budget).
+  const SourceManager& sources() const { return *sources_; }
   const QueryBatcher& batcher() const { return batcher_; }
 
   /// Attaches the serving observability sinks (both may be null; the

@@ -13,9 +13,12 @@ bool JoinHashTable::Insert(int epoch, CompositeTuple tuple) {
   for (auto& [key_pair, index] : indexes_) {
     const BaseRef& ref = tuple.ref(key_pair.first);
     const Value& v = catalog_->GetValue(ref.table, ref.row, key_pair.second);
-    index[v].push_back(id);
+    std::vector<int64_t>& ids = index[v];
+    if (ids.empty()) size_bytes_ += 56;
+    ids.push_back(id);
   }
   entries_.push_back({std::move(tuple), epoch});
+  size_bytes_ += entries_.back().tuple.SizeBytes() + 16;
   return true;
 }
 
@@ -30,6 +33,7 @@ const JoinHashTable::KeyIndex& JoinHashTable::GetOrBuildIndex(
     const Value& v = catalog_->GetValue(ref.table, ref.row, col);
     index[v].push_back(i);
   }
+  size_bytes_ += 64 + static_cast<int64_t>(index.size()) * 56;
   return indexes_.emplace(key, std::move(index)).first->second;
 }
 
@@ -59,22 +63,11 @@ int64_t JoinHashTable::CountBefore(int epoch) const {
   return lo;
 }
 
-int64_t JoinHashTable::SizeBytes() const {
-  int64_t total = 0;
-  // +8 epoch/overhead, +8 identity-set slot per entry.
-  for (const Entry& e : entries_) total += e.tuple.SizeBytes() + 16;
-  // Index overhead, roughly.
-  total += static_cast<int64_t>(indexes_.size()) * 64;
-  for (const auto& [k, index] : indexes_) {
-    total += static_cast<int64_t>(index.size()) * 56;
-  }
-  return total;
-}
-
 void JoinHashTable::Clear() {
   entries_.clear();
   identities_.clear();
   indexes_.clear();
+  size_bytes_ = 0;
 }
 
 }  // namespace qsys

@@ -64,8 +64,10 @@ class JoinHashTable {
   /// a recovery query registered at epoch e).
   int64_t CountBefore(int epoch) const;
 
-  /// Approximate footprint for cache accounting.
-  int64_t SizeBytes() const;
+  /// Approximate footprint for cache accounting: a running count kept
+  /// by Insert, index builds and Clear, so reading it is O(1) however
+  /// many tables the state manager sums.
+  int64_t SizeBytes() const { return size_bytes_; }
 
   /// Drops all state (eviction). Indexes are rebuilt on demand.
   void Clear();
@@ -97,6 +99,10 @@ class JoinHashTable {
   /// IdentityHash of every stored entry (insert dedup).
   std::unordered_set<uint64_t> identities_;
   mutable std::map<std::pair<int, int>, KeyIndex> indexes_;
+  /// SizeBytes(): per entry its tuple's footprint + 16 (epoch/overhead
+  /// and its identity-set slot); per built index 64, plus 56 per
+  /// distinct key. Mutable because indexes are built lazily on probe.
+  mutable int64_t size_bytes_ = 0;
   int borrowers_ = 0;
 };
 

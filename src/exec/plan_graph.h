@@ -102,6 +102,11 @@ class PlanGraph {
   const std::vector<RankMergeOp*>& rank_merges() const {
     return rank_merges_;
   }
+  /// AddMJoin() m-joins by signature, each list oldest first.
+  const std::unordered_map<std::string, std::vector<MJoinOp*>>&
+  mjoins_by_signature() const {
+    return mjoin_by_sig_;
+  }
   /// Streaming sources with at least one consumer here.
   std::vector<StreamingSource*> attached_sources() const;
 

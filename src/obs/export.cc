@@ -172,7 +172,7 @@ const NamedSpillField kSpillFields[] = {
      "Spill I/O faults survived by degrading instead of losing answers",
      &SpillStats::spill_faults},
     {"spill_read_retry_waits",
-     "Backoff sleeps taken retrying transient spill reads",
+     "Backoff sleeps taken retrying transient spill page I/O",
      &SpillStats::read_retry_waits},
 };
 

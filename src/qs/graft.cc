@@ -4,112 +4,18 @@
 
 namespace qsys {
 
-PlanGrafter::FullestBySig PlanGrafter::SnapshotFullestTables(
-    const PlanSpec& spec, Atc* atc, int tag) const {
-  // The registry holds one table per (tag, signature) — the newest
-  // registration — but consumer tables of one shared stream drift apart
-  // during execution: an operator deactivates when its queries finish
-  // and stops inserting, while the stream keeps flowing to others.
-  // Every live same-scope module table is a prefix of the same arrival
-  // sequence, so the fullest one is the most complete prefix; backfill
-  // and recovery must use it, or reused plans silently lose the
-  // buffered results beyond the shorter prefix. Ties keep the oldest.
-  FullestBySig fullest;
-  auto scope = module_tables_.find({&atc->graph(), tag});
-  if (scope == module_tables_.end()) return fullest;
-  auto snapshot = [&](const Expr& expr) {
-    const std::string& sig = expr.Signature();
-    auto tables = scope->second.find(sig);
-    if (tables == scope->second.end()) return;
-    auto [slot, fresh] = fullest.try_emplace(sig, nullptr);
-    if (!fresh) return;
-    for (JoinHashTable* t : tables->second) {
-      if (slot->second == nullptr ||
-          t->num_entries() > slot->second->num_entries()) {
-        slot->second = t;
-      }
-    }
-  };
-  for (const CandidateInput& input : spec.assignment.inputs) {
-    snapshot(input.expr);
+int64_t PlanGrafter::BackfillAndRegister(MJoinOp* op, int tag,
+                                         ExecContext& ctx) {
+  int64_t added = 0;
+  for (int p = 0; p < op->num_modules(); ++p) {
+    JoinHashTable* table = op->module_table(p);
+    if (table == nullptr) continue;  // probe modules hold no table
+    const std::string& sig = op->module_expr(p).Signature();
+    added += state_->BackfillModuleTable(tag, sig, table, ctx);
+    state_->RegisterModuleTable(tag, sig, table, op, ctx.clock->now());
   }
-  for (const PlanSpec::Component& comp : spec.components) {
-    snapshot(comp.expr);
-  }
-  return fullest;
-}
-
-JoinHashTable* PlanGrafter::FullestModuleTable(const FullestBySig& fullest,
-                                               int tag,
-                                               const std::string& sig) const {
-  JoinHashTable* best = state_->FindModuleTable(tag, sig);
-  auto it = fullest.find(sig);
-  if (it != fullest.end() &&
-      (best == nullptr ||
-       it->second->num_entries() > best->num_entries())) {
-    best = it->second;
-  }
-  return best;
-}
-
-int64_t PlanGrafter::BackfillOrRestore(const FullestBySig& fullest, int tag,
-                                       const std::string& sig,
-                                       JoinHashTable* dest,
-                                       ExecContext& ctx) {
-  JoinHashTable* old = FullestModuleTable(fullest, tag, sig);
-  int64_t restored = 0;
-  // A parked disk copy can be *fuller* than every live prefix: eviction
-  // clears the registered (fullest) table after demoting it, while
-  // shorter consumer copies of the same stream survive in the graph.
-  // Those shorter prefixes must not shadow the spill — the caller
-  // re-registers `dest` right after this, which drops the disk copy,
-  // so skipping the restore here would discard the only holder of the
-  // suffix and silently lose its buffered results (the spill-on
-  // warm-repeat divergence). Restore first; identity dedup absorbs the
-  // overlap with whatever `dest` already holds, and the restored
-  // entries keep their original arrival order and epochs.
-  const int64_t live_fullest =
-      std::max(dest->num_entries(),
-               old != nullptr ? old->num_entries() : int64_t{0});
-  if (state_->SpilledTableEntries(tag, sig) > live_fullest) {
-    StateManager::RestoreOutcome r =
-        state_->RestoreSpilledTable(tag, sig, dest);
-    if (r.entries > 0) {
-      restored = r.entries;
-      tuples_backfilled_ += r.entries;
-      ctx.Charge(TimeBucket::kJoin, state_->SpillReadCostUs(r.bytes));
-    }
-  }
-  if (old != nullptr && old != dest &&
-      old->num_entries() > dest->num_entries()) {
-    // Both tables are prefixes of the same shared arrival sequence, so
-    // topping `dest` up with the fuller table's suffix restores the
-    // complete prefix — also for a *reused* operator that deactivated
-    // early in a past epoch and is about to resume consuming new
-    // arrivals (without the top-up it would hold a gap and silently
-    // miss join results against the skipped tuples).
-    int64_t copied = 0;
-    // Offer every entry; the table's identity dedup keeps what is
-    // missing. Epochs must stay nondecreasing in arrival order, so
-    // when `dest` already holds newer entries the copies are clamped
-    // up to dest's tail epoch (still strictly before the epoch being
-    // grafted, so recovery sees them as buffered).
-    int tail_epoch =
-        dest->num_entries() > 0 ? dest->entry_epoch(dest->num_entries() - 1)
-                                : 0;
-    for (int64_t i = 0; i < old->num_entries(); ++i) {
-      if (dest->Insert(std::max(old->entry_epoch(i), tail_epoch),
-                       old->entry(i))) {
-        ++copied;
-      }
-    }
-    tuples_backfilled_ += copied;
-    ctx.Charge(TimeBucket::kJoin,
-               static_cast<VirtualTime>(static_cast<double>(copied) *
-                                        ctx.delays->params().join_output_us));
-    return restored + copied;
-  }
-  return restored;
+  tuples_backfilled_ += added;
+  return added;
 }
 
 int64_t PlanGrafter::RederivePrefixes(
@@ -324,8 +230,6 @@ Status PlanGrafter::Graft(const OptimizedGroup& group,
   const int epoch = atc->epoch() + 1;
   atc->set_epoch(epoch);
   ExecContext ctx = atc->MakeContext();
-  // One snapshot for the whole graft (see SnapshotFullestTables).
-  const FullestBySig fullest = SnapshotFullestTables(spec, atc, tag);
 
   // cq id -> (cq, uq) lookup.
   std::unordered_map<int, std::pair<const ConjunctiveQuery*,
@@ -408,19 +312,11 @@ Status PlanGrafter::Graft(const OptimizedGroup& group,
       // Touch its state registrations. A reused operator's tables may
       // be stale prefixes: emptied by eviction, or truncated where the
       // operator deactivated while the shared stream kept flowing to
-      // other consumers. Top them up to the fullest live prefix (or
-      // fault a demoted copy back in from the spill tier) before the
-      // operator resumes consuming new arrivals.
-      for (int p = 0; p < resolved->num_modules(); ++p) {
-        if (JoinHashTable* t = resolved->module_table(p)) {
-          const std::string& sig = resolved->module_expr(p).Signature();
-          if (resolved->module_is_stream(p) &&
-              BackfillOrRestore(fullest, tag, sig, t, ctx) > 0) {
-            warmed_ops.insert(resolved);
-          }
-          state_->RegisterModuleTable(tag, sig, t, resolved,
-                                      ctx.clock->now());
-        }
+      // other consumers. Top them up to the fullest copy (or fault a
+      // demoted copy back in from the spill tier) before the operator
+      // resumes consuming new arrivals.
+      if (BackfillAndRegister(resolved, tag, ctx) > 0) {
+        warmed_ops.insert(resolved);
       }
       record_component(comp, /*reused=*/true,
                        warmed_ops.count(resolved) > 0);
@@ -475,17 +371,8 @@ Status PlanGrafter::Graft(const OptimizedGroup& group,
       graph.ConnectMJoin(w.up, {op, w.port});
       producers_[op].push_back(w.up);
     }
-    // Backfill stream modules from retained state, then (re)register.
-    int64_t fresh_warm = 0;
-    TablesBySig& scope_tables = module_tables_[{&graph, tag}];
-    for (int p = 0; p < op->num_modules(); ++p) {
-      JoinHashTable* table = op->module_table(p);
-      if (table == nullptr || !op->module_is_stream(p)) continue;
-      const std::string& sig = op->module_expr(p).Signature();
-      fresh_warm += BackfillOrRestore(fullest, tag, sig, table, ctx);
-      state_->RegisterModuleTable(tag, sig, table, op, ctx.clock->now());
-      scope_tables[sig].push_back(table);
-    }
+    // Backfill stream modules from retained state, then register.
+    const int64_t fresh_warm = BackfillAndRegister(op, tag, ctx);
     comp_ops[comp.id] = op;
     record_component(comp, /*reused=*/false, fresh_warm > 0);
   }
@@ -608,7 +495,7 @@ Status PlanGrafter::Graft(const OptimizedGroup& group,
       for (int idx : stream_inputs) {
         FrozenInput f;
         f.expr = spec.assignment.inputs[idx].expr;
-        f.table = FullestModuleTable(fullest, tag, f.expr.Signature());
+        f.table = state_->FullestModuleTable(tag, f.expr.Signature());
         if (f.table == nullptr || f.table->CountBefore(epoch) == 0) {
           recoverable = false;
           break;

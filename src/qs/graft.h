@@ -3,20 +3,21 @@
 // Each optimized batch yields PlanSpecs; the grafter materializes them
 // inside an ATC's live graph: existing m-joins are matched (by expression
 // and module structure) and reused together with their hash-table state;
-// unmatched components become new operators whose stream modules are
-// *backfilled* from the registered state of earlier executions, so future
-// arrivals join against everything that was already read. Conjunctive
-// queries whose streaming inputs were all partially consumed additionally
-// get a RecoverState query (Algorithm 2) for the all-buffered results.
+// unmatched components become new operators. Every module table of a
+// grafted operator is *backfilled* by the state manager from the state
+// earlier executions retained under its signature, then registered
+// there as one more copy, so future arrivals join against everything
+// that was already read. The grafter keeps no table list of its own.
+// Conjunctive queries whose streaming inputs were all partially consumed
+// additionally get a RecoverState query (Algorithm 2), driven from the
+// state manager's fullest copies, for the all-buffered results.
 
 #ifndef QSYS_QS_GRAFT_H_
 #define QSYS_QS_GRAFT_H_
 
-#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/obs/explain.h"
@@ -67,34 +68,10 @@ class PlanGrafter {
  private:
   RankMergeOp* GetOrCreateMerge(Atc* atc, const UserQuery& uq);
 
-  /// sig -> fullest same-scope stream-module table in the live graph,
-  /// snapshotted once per Graft() (consumer tables of one shared stream
-  /// drift apart as operators deactivate at different times, so the
-  /// registry's newest registration is not necessarily the fullest;
-  /// scanning per lookup would be quadratic on the grafting hot path).
-  /// Backfills during a graft only equalize tables up to the snapshot's
-  /// maxima, so the snapshot stays valid for the whole graft. Covers
-  /// only the signatures `spec` references — its assignment inputs and
-  /// component expressions — which are all the graft looks up.
-  using FullestBySig = std::unordered_map<std::string, JoinHashTable*>;
-  FullestBySig SnapshotFullestTables(const PlanSpec& spec, Atc* atc,
-                                     int tag) const;
-
-  /// The most complete live prefix for (tag, sig): the fuller of the
-  /// registered table and the graph snapshot's entry. May return the
-  /// table being backfilled itself — callers treat that as "already
-  /// fullest".
-  JoinHashTable* FullestModuleTable(const FullestBySig& fullest, int tag,
-                                    const std::string& sig) const;
-
-  /// Tops the module table for (tag, sig) up to the fullest live
-  /// prefix (arrival order + epochs; identity-deduplicated), or — when
-  /// no live copy has entries — faults a demoted copy back in from the
-  /// spill tier. Charges the copy/disk-read cost to `ctx` and counts
-  /// the backfilled tuples. Returns how many entries were added.
-  int64_t BackfillOrRestore(const FullestBySig& fullest, int tag,
-                            const std::string& sig, JoinHashTable* dest,
-                            ExecContext& ctx);
+  /// Backfills every module table of `op` through the state manager
+  /// (BackfillModuleTable) and registers it under (tag, signature) as
+  /// a copy `op` owns. Counts the backfilled tuples and returns them.
+  int64_t BackfillAndRegister(MJoinOp* op, int tag, ExecContext& ctx);
 
   /// Warm-state completeness for *hierarchical* plans: backfill
   /// equalizes same-signature module tables, but an upstream producer's
@@ -149,14 +126,6 @@ class PlanGrafter {
       producers_;
   /// op -> sharing scope it was built under (reuse is scope-local).
   std::unordered_map<const MJoinOp*, int> op_tag_;
-  /// Stream-module tables of the ops built here, per (plan graph,
-  /// sharing scope) and module signature, in creation order: the
-  /// candidates SnapshotFullestTables compares. These ops are never
-  /// freed (retirement frees only merges and recovery operators), so
-  /// the pointers stay valid.
-  using TablesBySig =
-      std::unordered_map<std::string, std::vector<JoinHashTable*>>;
-  std::map<std::pair<const PlanGraph*, int>, TablesBySig> module_tables_;
   /// Producer op -> per-stream-module replay watermark: entry counts up
   /// to which every purely-buffered combo has been derived into the
   /// op's downstream consumers (advanced by each replay; reset to a
@@ -166,9 +135,9 @@ class PlanGrafter {
   /// Op -> per-stream-module entry counts as of the end of its last
   /// graft. A reused op whose table holds *fewer* entries than this was
   /// evicted in between (eviction clears whole tables) — derived combos
-  /// downstream of it may be gone even when BackfillOrRestore found
-  /// nothing fuller to copy (the cleared table was the only holder of
-  /// its signature and nothing was spilled), so it must taint the
+  /// downstream of it may be gone even when backfill found nothing
+  /// fuller to copy (the cleared table was the only holder of its
+  /// signature and nothing was spilled), so it must taint the
   /// replay watermark like a backfilled op does.
   std::unordered_map<const MJoinOp*, std::vector<int64_t>>
       counts_at_last_graft_;

@@ -10,21 +10,91 @@ void StateManager::RegisterModuleTable(int tag,
                                        const std::string& expr_signature,
                                        JoinHashTable* table, MJoinOp* owner,
                                        VirtualTime now) {
-  const std::string key = Key(tag, expr_signature);
-  TableEntry& e = tables_[key];
-  e.table = table;
-  e.owner = owner;
-  e.last_used_us = now;
+  std::vector<TableEntry>& copies = tables_[Key(tag, expr_signature)];
+  auto it = std::find_if(copies.begin(), copies.end(),
+                         [table](const TableEntry& e) {
+                           return e.table == table;
+                         });
+  if (it == copies.end()) it = copies.insert(copies.end(), TableEntry{table});
+  it->owner = owner;
+  it->last_used_us = now;
   last_now_us_ = std::max(last_now_us_, now);
-  // The newest registration supersedes any parked disk copy: a stale
-  // spill must never be restored over fresher in-memory state.
-  if (spill_ != nullptr) spill_->Drop(key);
 }
 
-JoinHashTable* StateManager::FindModuleTable(
+JoinHashTable* StateManager::FullestModuleTable(
     int tag, const std::string& expr_signature) const {
-  auto it = tables_.find(Key(tag, expr_signature));
-  return it == tables_.end() ? nullptr : it->second.table;
+  return FullestCopy(Key(tag, expr_signature));
+}
+
+JoinHashTable* StateManager::FullestCopy(const std::string& key) const {
+  auto it = tables_.find(key);
+  if (it == tables_.end()) return nullptr;
+  JoinHashTable* best = nullptr;
+  for (const TableEntry& e : it->second) {
+    if (best == nullptr || e.table->num_entries() > best->num_entries()) {
+      best = e.table;
+    }
+  }
+  return best;
+}
+
+int64_t StateManager::BackfillModuleTable(int tag,
+                                          const std::string& expr_signature,
+                                          JoinHashTable* dest,
+                                          ExecContext& ctx) {
+  const std::string key = Key(tag, expr_signature);
+  JoinHashTable* fullest = FullestCopy(key);
+  int64_t added = 0;
+  // A parked disk copy can be *fuller* than every listed copy: it is
+  // the demoted fullest copy, and shorter copies of the same stream
+  // survive in memory. Those shorter prefixes must not shadow it — the
+  // disk copy is dropped below, so skipping the restore would discard
+  // the only holder of the suffix and silently lose its buffered
+  // results. Restore first; identity dedup absorbs the overlap with
+  // whatever `dest` already holds, and the restored entries keep their
+  // original arrival order and epochs.
+  const int64_t live_fullest =
+      std::max(dest->num_entries(),
+               fullest != nullptr ? fullest->num_entries() : int64_t{0});
+  if (spill_ != nullptr && spill_->SpilledItems(key) > live_fullest) {
+    RestoreOutcome r = RestoreSpilledTable(tag, expr_signature, dest);
+    if (r.entries > 0) {
+      added = r.entries;
+      ctx.Charge(TimeBucket::kJoin, SpillReadCostUs(r.bytes));
+    }
+  }
+  if (fullest != nullptr && fullest != dest &&
+      fullest->num_entries() > dest->num_entries()) {
+    // Both tables are prefixes of the same shared arrival sequence, so
+    // topping `dest` up with the fuller table's suffix restores the
+    // complete prefix — also for a *reused* operator that deactivated
+    // early in a past epoch and is about to resume consuming new
+    // arrivals (without the top-up it would hold a gap and silently
+    // miss join results against the skipped tuples).
+    int64_t copied = 0;
+    // Offer every entry; the table's identity dedup keeps what is
+    // missing. Epochs must stay nondecreasing in arrival order, so
+    // when `dest` already holds newer entries the copies are clamped
+    // up to dest's tail epoch (still strictly before the epoch being
+    // grafted, so recovery sees them as buffered).
+    const int tail_epoch =
+        dest->num_entries() > 0 ? dest->entry_epoch(dest->num_entries() - 1)
+                                : 0;
+    for (int64_t i = 0; i < fullest->num_entries(); ++i) {
+      if (dest->Insert(std::max(fullest->entry_epoch(i), tail_epoch),
+                       fullest->entry(i))) {
+        ++copied;
+      }
+    }
+    added += copied;
+    ctx.Charge(TimeBucket::kJoin,
+               static_cast<VirtualTime>(static_cast<double>(copied) *
+                                        ctx.delays->params().join_output_us));
+  }
+  // `dest` now holds at least the disk copy's entries, so the disk copy
+  // is stale: a stale spill must never be restored over fresher state.
+  if (spill_ != nullptr) spill_->Drop(key);
+  return added;
 }
 
 void StateManager::SnapshotSourceStats() {
@@ -41,9 +111,9 @@ void StateManager::SnapshotSourceStats() {
 
 int64_t StateManager::TotalCacheBytes() const {
   int64_t total = 0;
-  for (const auto& [key, e] : tables_) {
+  for (const auto& [key, copies] : tables_) {
     (void)key;
-    if (e.table != nullptr) total += e.table->SizeBytes();
+    for (const TableEntry& e : copies) total += e.table->SizeBytes();
   }
   for (const auto& probe : sources_->probes()) {
     total += probe->CacheSizeBytes();
@@ -77,6 +147,16 @@ double StateManager::RecomputeCostUs(const CacheItem& item,
                                                    : d.probe_mean_us);
 }
 
+bool StateManager::Covered(const std::string& key,
+                           const JoinHashTable* victim) const {
+  const int64_t entries = victim->num_entries();
+  if (spill_ != nullptr && spill_->SpilledItems(key) >= entries) return true;
+  for (const TableEntry& e : tables_.at(key)) {
+    if (e.table != victim && e.table->num_entries() >= entries) return true;
+  }
+  return false;
+}
+
 bool StateManager::ShouldSpill(const CacheItem& item,
                                int64_t entries) const {
   if (spill_ == nullptr || item.size_bytes <= 0) return false;
@@ -92,13 +172,6 @@ void StateManager::JournalVictim(const CacheItem& item, int64_t entries,
                    item.size_bytes, spilled ? 1 : 0, 0,
                    static_cast<double>(SpillReadCostUs(item.size_bytes)),
                    RecomputeCostUs(item, entries), item.key.c_str());
-}
-
-int64_t StateManager::SpilledTableEntries(
-    int tag, const std::string& expr_signature) const {
-  return spill_ == nullptr
-             ? 0
-             : spill_->SpilledItems(Key(tag, expr_signature));
 }
 
 StateManager::RestoreOutcome StateManager::RestoreSpilledTable(
@@ -137,26 +210,31 @@ int StateManager::EnforceBudget(VirtualTime now) {
   if (total <= memory_budget_bytes_) return 0;
   int64_t need = total - memory_budget_bytes_;
 
-  // Build the cacheable-item view: registered hash tables (evictable
-  // only when their owner operator is inactive) and probe caches.
+  // Build the cacheable-item view: one item per registered table copy
+  // that holds state (evictable only when its owner operator is
+  // inactive), then one per probe cache. A copy holding nothing (never
+  // filled, or cleared by an earlier eviction) would free nothing.
   std::vector<CacheItem> items;
-  std::vector<const std::string*> table_keys;
-  std::vector<ProbeSource*> probe_ptrs;
-  for (auto& [key, e] : tables_) {
-    CacheItem item;
-    item.kind = CacheItem::Kind::kHashTable;
-    item.key = key;
-    item.size_bytes = e.table != nullptr ? e.table->SizeBytes() : 0;
-    item.last_used_us = e.last_used_us;
-    item.recompute_cost = static_cast<double>(item.size_bytes);
-    // Referenced while the owning operator runs — or while a recovery
-    // query borrows the table as a frozen module / replay source
-    // (evicting mid-replay would corrupt the recovery's results).
-    item.referenced = (e.owner != nullptr && e.owner->active()) ||
-                      (e.table != nullptr && e.table->borrowers() > 0);
-    table_keys.push_back(&key);
-    probe_ptrs.push_back(nullptr);
-    items.push_back(std::move(item));
+  std::vector<JoinHashTable*> item_tables;
+  std::vector<ProbeSource*> item_probes;
+  for (const auto& [key, copies] : tables_) {
+    for (const TableEntry& e : copies) {
+      CacheItem item;
+      item.kind = CacheItem::Kind::kHashTable;
+      item.key = key;
+      item.size_bytes = e.table->SizeBytes();
+      if (item.size_bytes == 0) continue;
+      item.last_used_us = e.last_used_us;
+      item.recompute_cost = static_cast<double>(item.size_bytes);
+      // Referenced while the owning operator runs — or while a recovery
+      // query borrows the table as a frozen module / replay source
+      // (evicting mid-replay would corrupt the recovery's results).
+      item.referenced = (e.owner != nullptr && e.owner->active()) ||
+                        e.table->borrowers() > 0;
+      item_tables.push_back(e.table);
+      item_probes.push_back(nullptr);
+      items.push_back(std::move(item));
+    }
   }
   for (const auto& probe : sources_->probes()) {
     CacheItem item;
@@ -166,17 +244,15 @@ int StateManager::EnforceBudget(VirtualTime now) {
     item.last_used_us = 0;  // probe caches are the coldest class
     item.recompute_cost = static_cast<double>(probe->probes_issued());
     item.referenced = false;
-    table_keys.push_back(nullptr);
-    probe_ptrs.push_back(probe.get());
+    item_tables.push_back(nullptr);
+    item_probes.push_back(probe.get());
     items.push_back(std::move(item));
   }
 
   std::vector<size_t> victims = ChooseVictims(items, policy_, need);
   int evicted = 0;
-  std::vector<std::string> keys_to_erase;
   for (size_t idx : victims) {
-    if (probe_ptrs[idx] != nullptr) {
-      ProbeSource* probe = probe_ptrs[idx];
+    if (ProbeSource* probe = item_probes[idx]) {
       const int64_t cached = static_cast<int64_t>(probe->cache().size());
       bool demoted = false;
       if (ShouldSpill(items[idx], cached) &&
@@ -213,35 +289,30 @@ int StateManager::EnforceBudget(VirtualTime now) {
       JournalVictim(items[idx], cached, demoted);
       probe->EvictCache();
     } else {
-      auto it = tables_.find(items[idx].key);
-      if (it != tables_.end() && it->second.table != nullptr) {
-        JoinHashTable* table = it->second.table;
-        const int64_t entries = table->num_entries();
-        bool demoted = false;
-        if (ShouldSpill(items[idx], entries)) {
-          if (spill_->SpillTable(items[idx].key, *table).ok()) {
-            demoted = true;
-            ++spills_;
-          } else {
-            // Demotion was the plan but the spill I/O failed. Unlike a
-            // probe cache (re-probing regenerates identical answers), a
-            // destroyed hash table loses stream arrivals that can never
-            // be re-read — shared cursors do not rewind — so destroying
-            // the victim here would change answers. Keep it in memory
-            // instead: a soft budget overrun the next enforcement pass
-            // retries, counted by the spill tier as a survived fault.
-            JournalVictim(items[idx], entries, false);
-            continue;
-          }
+      JoinHashTable* table = item_tables[idx];
+      const int64_t entries = table->num_entries();
+      bool demoted = false;
+      if (ShouldSpill(items[idx], entries) &&
+          !Covered(items[idx].key, table)) {
+        if (!spill_->SpillTable(items[idx].key, *table).ok()) {
+          // Demotion was the plan but the spill I/O failed. Unlike a
+          // probe cache (re-probing regenerates identical answers), a
+          // destroyed hash table loses stream arrivals that can never
+          // be re-read — shared cursors do not rewind — so destroying
+          // the victim here would change answers. Keep it in memory
+          // instead: a soft budget overrun the next enforcement pass
+          // retries, counted by the spill tier as a survived fault.
+          JournalVictim(items[idx], entries, false);
+          continue;
         }
-        JournalVictim(items[idx], entries, demoted);
-        table->Clear();
-        keys_to_erase.push_back(items[idx].key);
+        demoted = true;
+        ++spills_;
       }
+      JournalVictim(items[idx], entries, demoted);
+      table->Clear();
     }
     ++evicted;
   }
-  for (const std::string& k : keys_to_erase) tables_.erase(k);
   evictions_ += evicted;
   if (tracer_ != nullptr && evicted > 0) {
     tracer_->Instant(TraceEventType::kEvict, trace_shard_, -1, -1,

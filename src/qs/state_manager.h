@@ -2,11 +2,14 @@
 // execution state — module hash tables and probe caches — with
 // pinning, memory accounting, and cache replacement.
 //
-// The registry is what makes reuse work: the plan grafter looks up the
-// hash table holding a subexpression's previously streamed tuples to
-// backfill new modules and to drive RecoverState replays; the optimizer
-// pins entries it is counting on so they survive until the new plan is
-// grafted.
+// The registry is what makes reuse work, and it is the only list of
+// retained tables: every module-table copy the plan grafter builds is
+// registered under its (sharing scope, expression signature) key, the
+// memory budget counts every copy, and eviction treats each copy as
+// one item. The grafter asks it for the fullest copy of a
+// subexpression to drive RecoverState replays, and has it backfill
+// each new or reused module table from the fullest copy (or from a
+// copy demoted to disk) before the table consumes new arrivals.
 
 #ifndef QSYS_QS_STATE_MANAGER_H_
 #define QSYS_QS_STATE_MANAGER_H_
@@ -38,22 +41,31 @@ class StateManager {
 
   // ---- module-table registry (reuse + recovery) ----
 
-  /// Registers the hash table holding arrivals of expression
-  /// `expr_signature` under sharing scope `tag`. Later registrations for
-  /// the same key supersede earlier ones. NOTE: the newest registration
-  /// is not necessarily the fullest copy — consumer tables of one
-  /// shared stream drift apart as operators deactivate — so reuse and
-  /// recovery go through PlanGrafter::FullestModuleTable(), which also
-  /// scans the live plan graph; this registry remains the authority for
-  /// eviction/spill accounting.
+  /// Lists `table`, which `owner` fills with arrivals of expression
+  /// `expr_signature` under sharing scope `tag`, as one more copy under
+  /// that key, stamped `now` for the replacement policy. Registering a
+  /// listed table again refreshes its owner and stamp and keeps its
+  /// place. Copies stay listed after eviction clears them.
   void RegisterModuleTable(int tag, const std::string& expr_signature,
                            JoinHashTable* table, MJoinOp* owner,
                            VirtualTime now);
 
-  /// The most recently registered live table for the expression, or
-  /// nullptr.
-  JoinHashTable* FindModuleTable(int tag,
-                                 const std::string& expr_signature) const;
+  /// The fullest copy listed under (tag, signature); among equally full
+  /// copies the oldest registration. nullptr when none is listed. Every
+  /// copy of one key is a prefix of the same arrival sequence — copies
+  /// drift apart as their operators deactivate at different times — so
+  /// the fullest is the most complete prefix.
+  JoinHashTable* FullestModuleTable(int tag,
+                                    const std::string& expr_signature) const;
+
+  /// Tops `dest` up to the most complete state held for (tag,
+  /// signature): the parked disk copy when it is fuller than every
+  /// listed copy (faulted in at disk cost), else the fullest copy's
+  /// entries `dest` lacks (arrival order, identity-deduplicated, at
+  /// join-output cost). Either cost is charged to `ctx`. `dest` then
+  /// covers the disk copy, which is dropped. Returns the entries added.
+  int64_t BackfillModuleTable(int tag, const std::string& expr_signature,
+                              JoinHashTable* dest, ExecContext& ctx);
 
   // ---- statistics feedback ----
 
@@ -73,14 +85,16 @@ class StateManager {
   /// waiting for the next batch-flush EnforceBudget call site.
   void set_memory_budget_bytes(int64_t b);
 
-  /// Total bytes across registered tables and probe caches.
+  /// Total bytes across every registered table copy and probe cache.
   int64_t TotalCacheBytes() const;
 
-  /// Enforces the budget: evicts unreferenced items per the
-  /// policy until under budget. Returns the number of items evicted.
-  /// With a spill tier attached, victims whose estimated spill-read
-  /// cost undercuts their recompute cost are serialized to disk before
-  /// their memory is freed (demotion instead of destruction).
+  /// Enforces the budget: evicts unreferenced items — each table copy
+  /// is one item — per the policy until under budget. Returns the
+  /// number of items evicted. A table victim that another listed copy
+  /// or the parked disk copy already covers is cleared without I/O.
+  /// With a spill tier attached, any other victim whose estimated
+  /// spill-read cost undercuts its recompute cost is serialized to disk
+  /// before its memory is freed (demotion instead of destruction).
   int EnforceBudget(VirtualTime now);
 
   int64_t evictions() const { return evictions_; }
@@ -91,14 +105,6 @@ class StateManager {
   /// the spill-vs-drop decision and restore charging. Both must
   /// outlive this manager.
   void AttachSpill(SpillManager* spill, const DelayParams* delays);
-  SpillManager* spill() { return spill_; }
-
-  /// Entries in the parked disk copy for (tag, signature); 0 when
-  /// nothing is spilled under the key. The grafter compares this
-  /// against the fullest *live* prefix: a fuller disk copy must be
-  /// restored before registration supersedes (and drops) it.
-  int64_t SpilledTableEntries(int tag,
-                              const std::string& expr_signature) const;
 
   struct RestoreOutcome {
     int64_t entries = 0;
@@ -108,7 +114,7 @@ class StateManager {
   /// Faults the spilled table for (tag, signature) back from disk,
   /// appending its entries — original arrival order, original epochs —
   /// to `dest`. Returns zeros when nothing is spilled under the key.
-  /// The disk copy is dropped: the restored in-memory table is newest.
+  /// The disk copy is dropped: `dest` now holds its entries.
   RestoreOutcome RestoreSpilledTable(int tag,
                                      const std::string& expr_signature,
                                      JoinHashTable* dest);
@@ -153,6 +159,14 @@ class StateManager {
     return std::to_string(tag) + "/" + sig;
   }
 
+  /// FullestModuleTable by registry key.
+  JoinHashTable* FullestCopy(const std::string& key) const;
+
+  /// True when a copy other than `victim` listed under `key`, or the
+  /// disk copy parked under it, holds at least as many entries: the
+  /// victim's state survives its eviction without being demoted.
+  bool Covered(const std::string& key, const JoinHashTable* victim) const;
+
   /// True when demoting `item` to disk beats rebuilding it later:
   /// estimated spill-read cost (payload bytes over local-disk
   /// bandwidth) below estimated recompute cost (re-streaming /
@@ -171,7 +185,8 @@ class StateManager {
   SourceManager* sources_;
   int64_t memory_budget_bytes_;
   EvictionPolicy policy_;
-  std::unordered_map<std::string, TableEntry> tables_;
+  /// Key(tag, signature) -> every registered copy, oldest first.
+  std::unordered_map<std::string, std::vector<TableEntry>> tables_;
   StatsRegistry observed_;
   int64_t evictions_ = 0;
   SpillManager* spill_ = nullptr;

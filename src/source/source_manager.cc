@@ -44,8 +44,4 @@ ProbeSource* SourceManager::GetOrCreateProbe(const Atom& atom,
   return probes_.back().get();
 }
 
-void SourceManager::DropStream(const std::string& signature, int tag) {
-  streams_.erase(TaggedKey(tag, signature));
-}
-
 }  // namespace qsys

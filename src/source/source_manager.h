@@ -45,11 +45,6 @@ class SourceManager {
   ProbeSource* GetOrCreateProbe(const Atom& atom, int key_column,
                                 int tag = 0);
 
-  /// Drops the stream for `expr` under `tag` (state-manager eviction).
-  /// The next GetOrCreateStream re-creates it from scratch
-  /// (recomputation).
-  void DropStream(const std::string& signature, int tag = 0);
-
   const std::unordered_map<std::string,
                            std::unique_ptr<StreamingSource>>&
   streams() const {

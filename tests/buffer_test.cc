@@ -261,7 +261,7 @@ TEST_F(SpillWritePathTest, PageRestoredWhileResidentIsNeverWritten) {
     t.set_ref(0, {tid_, i, 1.0 / (i + 1)});
     t.set_ref(1, {tid_, (i * 3) % 32, 0.25});
     t.RecomputeSum();
-    table.Insert(static_cast<int>(i) % 3, std::move(t));
+    table.Insert(static_cast<int>(i) * 3 / 32, std::move(t));
   }
   ASSERT_TRUE(spill.value()->SpillTable("k", table).ok());
 
@@ -356,8 +356,8 @@ TEST_F(SpillRoundtripTest, EnforceBudgetDemotesInsteadOfDestroys) {
   EXPECT_GE(evicted, 1);
   EXPECT_EQ(table.num_entries(), 0);  // memory freed as before
   EXPECT_EQ(manager.spills(), 1);     // ...but the state was demoted
-  EXPECT_EQ(manager.SpilledTableEntries(0, "sig"), entries);
-  EXPECT_EQ(manager.SpilledTableEntries(1, "sig"), 0);  // tag-scoped
+  EXPECT_EQ(spill.value()->SpilledItems("0/sig"), entries);
+  EXPECT_EQ(spill.value()->SpilledItems("1/sig"), 0);  // tag-scoped
 
   JoinHashTable faulted(&catalog_);
   StateManager::RestoreOutcome r =
@@ -366,11 +366,72 @@ TEST_F(SpillRoundtripTest, EnforceBudgetDemotesInsteadOfDestroys) {
   EXPECT_GT(r.bytes, 0);
   EXPECT_EQ(faulted.num_entries(), entries);
   EXPECT_EQ(manager.spill_restores(), 1);
-  EXPECT_EQ(manager.SpilledTableEntries(0, "sig"), 0);
+  EXPECT_EQ(spill.value()->SpilledItems("0/sig"), 0);
 
-  // Re-registration of fresher state supersedes a lingering disk copy.
+  // The restore consumed the disk copy: registering the restored table
+  // leaves nothing parked to shadow it.
   manager.RegisterModuleTable(0, "sig", &faulted, nullptr, 20);
   EXPECT_FALSE(spill.value()->HasSpill("0/sig"));
+}
+
+TEST_F(SpillRoundtripTest, EvictionDemotesOnlyUncoveredCopies) {
+  // One frame: a demotion writes every page but its last to disk.
+  auto spill = SpillManager::Open(TempSpillDir("covered"), 1);
+  ASSERT_TRUE(spill.ok()) << spill.status().ToString();
+  DelayParams delays;
+  SourceManager sources(&catalog_);
+  StateManager manager(&sources, /*budget=*/1 << 20,
+                       EvictionPolicy::kLruSize);
+  manager.AttachSpill(spill.value().get(), &delays);
+
+  // Prefixes of one arrival sequence of distinct two-slot composites
+  // (~40 payload bytes each, so 1,024 entries span three pages).
+  auto fill = [&](JoinHashTable* table, int n) {
+    for (int i = 0; i < n; ++i) {
+      const RowId a = static_cast<RowId>(i / 32);
+      CompositeTuple t = CompositeTuple::WithSlots(2);
+      t.set_ref(0, {tid_, a, 1.0 / (a + 1)});
+      t.set_ref(1, {tid_, static_cast<RowId>(i % 32), 0.25});
+      t.RecomputeSum();
+      table->Insert(i / 256, std::move(t));
+    }
+  };
+  JoinHashTable shorter(&catalog_), fullest(&catalog_);
+  fill(&shorter, 512);
+  fill(&fullest, 1024);
+  manager.RegisterModuleTable(0, "sig", &shorter, nullptr, 5);
+  manager.RegisterModuleTable(0, "sig", &fullest, nullptr, 6);
+  EXPECT_EQ(manager.TotalCacheBytes(),
+            shorter.SizeBytes() + fullest.SizeBytes());
+  EXPECT_EQ(manager.FullestModuleTable(0, "sig"), &fullest);
+
+  // The budget fits only the fullest copy, so LRU evicts the older,
+  // shorter one. The fullest copy covers it: cleared, no I/O.
+  manager.set_memory_budget_bytes(fullest.SizeBytes());
+  EXPECT_EQ(manager.evictions(), 1);
+  EXPECT_EQ(shorter.num_entries(), 0);
+  EXPECT_EQ(fullest.num_entries(), 1024);
+  EXPECT_EQ(manager.spills(), 0);
+  EXPECT_EQ(spill.value()->stats().items_spilled, 0);
+  EXPECT_EQ(spill.value()->stats().pages_written, 0);
+
+  // Nothing else holds the fullest copy's entries: it is demoted.
+  manager.set_memory_budget_bytes(1);
+  EXPECT_EQ(manager.evictions(), 2);
+  EXPECT_EQ(fullest.num_entries(), 0);
+  EXPECT_EQ(manager.spills(), 1);
+  EXPECT_EQ(spill.value()->SpilledItems("0/sig"), 1024);
+  const SpillStats demoted = spill.value()->stats();
+  EXPECT_EQ(demoted.items_spilled, 1);
+  EXPECT_GT(demoted.pages_written, 0);
+
+  // A refilled copy the disk copy covers is cleared without I/O too.
+  fill(&shorter, 512);
+  EXPECT_EQ(manager.EnforceBudget(7), 1);
+  EXPECT_EQ(shorter.num_entries(), 0);
+  EXPECT_EQ(spill.value()->stats().items_spilled, demoted.items_spilled);
+  EXPECT_EQ(spill.value()->stats().pages_written, demoted.pages_written);
+  EXPECT_EQ(spill.value()->SpilledItems("0/sig"), 1024);
 }
 
 TEST_F(SpillRoundtripTest, SetBudgetEnforcesImmediately) {

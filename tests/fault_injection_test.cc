@@ -99,7 +99,8 @@ class SpillFaultFixture : public ::testing::Test {
   /// per entry: ~40 payload bytes, so 2048 entries span ~6 pages — well
   /// past a 4-frame pool, forcing real evictions and disk reads. A page
   /// is written only when its frame is recycled, so a table that fits
-  /// the pool does no I/O at all.
+  /// the pool does no I/O at all. Epochs rise 0, 1, 2 over the arrival
+  /// order (Insert requires them nondecreasing).
   JoinHashTable MakeTable(int n) {
     JoinHashTable table(&catalog_);
     for (RowId i = 0; i < static_cast<RowId>(n); ++i) {
@@ -107,7 +108,7 @@ class SpillFaultFixture : public ::testing::Test {
       t.set_ref(0, {tid_, i, 1.0 / (i + 1)});
       t.set_ref(1, {tid_, (i * 3 + 1) % 4096, 0.25});
       t.RecomputeSum();
-      table.Insert(/*epoch=*/static_cast<int>(i) % 3, std::move(t));
+      table.Insert(/*epoch=*/3 * static_cast<int>(i) / n, std::move(t));
     }
     return table;
   }
@@ -184,8 +185,9 @@ TEST_F(SpillFaultFixture, TransientWriteErrorsNeverLoseData) {
   injector_ = std::move(storm);
 
   // ~10 pages must recycle the first table's dirty frames, and the
-  // storm fails the write-back that would free one. That fails only
-  // this demotion: the victim stays whole, with no handle.
+  // storm fails the write-back that would free one on every retry.
+  // That fails only this demotion: the victim stays whole, with no
+  // handle.
   JoinHashTable big = MakeTable(4096);
   EXPECT_FALSE(spill_->SpillTable("big", big).ok());
   EXPECT_FALSE(spill_->HasSpill("big"));
@@ -198,6 +200,33 @@ TEST_F(SpillFaultFixture, TransientWriteErrorsNeverLoseData) {
   auto outcome = spill_->RestoreTable("stormy", &restored);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ExpectSameEntries(restored, table);
+}
+
+TEST_F(SpillFaultFixture, TransientWriteFaultsRetriedDuringDemotion) {
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.write_error_p = 0.3;
+  plan.max_consecutive_errors = 2;  // below the retry budget of 4
+  OpenSpill(plan, /*frames=*/4);
+  // ~6- and ~10-page victims through 4 frames: every demotion recycles
+  // dirty frames, and a failed write-back is retried, not fatal.
+  const JoinHashTable six_pages = MakeTable(2048);
+  const JoinHashTable ten_pages = MakeTable(4096);
+  for (int i = 0; i < 40; ++i) {
+    const Status s = spill_->SpillTable("victim" + std::to_string(i % 4),
+                                        i % 2 == 0 ? six_pages : ten_pages);
+    ASSERT_TRUE(s.ok()) << "demotion " << i << ": " << s.ToString();
+  }
+  EXPECT_GT(injector_->injected(Op::kWrite), 0);
+  EXPECT_GT(spill_->stats().read_retry_waits, 0);
+  // The retried pages hold what was written: the last copies restore.
+  for (int k = 0; k < 4; ++k) {
+    JoinHashTable restored(&catalog_);
+    auto outcome =
+        spill_->RestoreTable("victim" + std::to_string(k), &restored);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ExpectSameEntries(restored, k % 2 == 0 ? six_pages : ten_pages);
+  }
 }
 
 TEST_F(SpillFaultFixture, TransientReadFaultsRetriedDuringRestore) {
@@ -321,7 +350,7 @@ TEST_F(SpillFaultFixture, EnforceBudgetKeepsVictimWhenSpillFails) {
   // would lose stream arrivals forever — so the victim stays, whole.
   EXPECT_EQ(evicted, 0);
   EXPECT_EQ(table.num_entries(), 64);
-  EXPECT_EQ(manager.FindModuleTable(0, "sig"), &table);
+  EXPECT_EQ(manager.FullestModuleTable(0, "sig"), &table);
   EXPECT_GE(spill_->faults(), 1);
   // The next pass retries (and keeps the table again): a soft overrun,
   // never an answer change.

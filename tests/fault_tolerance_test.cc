@@ -673,7 +673,7 @@ TEST(FaultToleranceTest, SpillReadRetryWaitsSurfaceInStats) {
       t.set_ref(0, {tid, i, 1.0 / (i + 1)});
       t.set_ref(1, {tid, (i * 3 + 1) % 4096, 0.25});
       t.RecomputeSum();
-      table.Insert(/*epoch=*/static_cast<int>(i) % 3, std::move(t));
+      table.Insert(/*epoch=*/static_cast<int>(i) * 3 / 2048, std::move(t));
     }
     ASSERT_TRUE(spill->SpillTable("flaky-disk", table).ok());
 

@@ -123,9 +123,9 @@ TEST(FuzzHarnessTest, GenerateScenarioIsDeterministicAndVaried) {
 // budget *with the spill tier attached* used to diverge on the warm
 // repeat — a reused operator re-registered a shrunken table over a
 // fuller spilled copy, and the graft backfilled from the thinner live
-// prefix instead of restoring. Fixed in PlanGrafter::BackfillOrRestore
-// (restore wins whenever the disk copy holds more entries than the
-// fullest live table). This pin is the harness's reason to exist: the
+// prefix instead of restoring. Fixed in the graft backfill, now
+// StateManager::BackfillModuleTable (restore wins whenever the disk
+// copy holds more entries than the fullest live table). This pin is the harness's reason to exist: the
 // exact failing shape, checked against the oracle forever.
 TEST(FuzzHarnessTest, SequenceMetabolismSeed7WarmRepeatSpillOn) {
   Scenario s;

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+
 #include "tests/test_util.h"
 
 namespace qsys {
@@ -86,6 +90,42 @@ TEST(GraftTest, NoDuplicateResultsAfterRecovery) {
   for (uint64_t id : identities) {
     EXPECT_EQ(identities.count(id), 1u);
   }
+}
+
+TEST(GraftTest, BudgetCountsEveryModuleTableCopy) {
+  // Two batches whose plans build different m-joins over one shared
+  // stream: each m-join buffers its own copy of the stream's prefix,
+  // and the memory budget must see every copy.
+  auto sys = MakeSystem();
+  ASSERT_TRUE(sys->Pose("membrane gene", 1, 0).ok());
+  ASSERT_TRUE(sys->Pose("membrane protein", 2, 4'000'000).ok());
+  ASSERT_TRUE(sys->Run().ok());
+
+  int64_t table_bytes = 0;
+  std::map<std::string, int> copies;
+  for (int i = 0; i < sys->num_atcs(); ++i) {
+    for (const auto& [sig, ops] :
+         sys->atc(i).graph().mjoins_by_signature()) {
+      for (const MJoinOp* op : ops) {
+        table_bytes += op->StateSizeBytes();
+        for (int p = 0; p < op->num_modules(); ++p) {
+          if (op->module_is_stream(p)) {
+            ++copies[op->module_expr(p).Signature()];
+          }
+        }
+      }
+    }
+  }
+  int most_copies = 0;
+  for (const auto& [sig, n] : copies) most_copies = std::max(most_copies, n);
+  ASSERT_GE(most_copies, 2) << "no stream signature has two m-join copies";
+
+  int64_t probe_bytes = 0;
+  for (const auto& probe : sys->engine().sources().probes()) {
+    probe_bytes += probe->CacheSizeBytes();
+  }
+  EXPECT_EQ(sys->state_manager().TotalCacheBytes(),
+            table_bytes + probe_bytes);
 }
 
 TEST(GraftTest, EpochAdvancesPerBatch) {

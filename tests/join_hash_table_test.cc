@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <unordered_set>
+#include <utility>
+
 #include "src/exec/join_hash_table.h"
 
 namespace qsys {
@@ -108,6 +112,53 @@ TEST_F(JoinHashTableTest, ClearDropsEverything) {
   table.Probe(0, 1, Value(int64_t{0}), JoinHashTable::kAllEpochs,
               [&](const CompositeTuple&) { ++hits; });
   EXPECT_EQ(hits, 0);
+}
+
+TEST_F(JoinHashTableTest, RunningSizeMatchesRecount) {
+  // The state manager sums SizeBytes() over every table copy at each
+  // budget check, so the table keeps it as a running count. Recount it
+  // from scratch here: per entry its tuple's footprint + 16, per built
+  // index 64 plus 56 per distinct key.
+  JoinHashTable table(&catalog_);
+  std::set<int> indexed_cols;  // slot 0: every tuple is single-slot
+  auto recount = [&] {
+    int64_t bytes = 0;
+    for (int64_t i = 0; i < table.num_entries(); ++i) {
+      bytes += table.entry(i).SizeBytes() + 16;
+    }
+    for (int col : indexed_cols) {
+      std::unordered_set<Value, ValueHash> keys;
+      for (int64_t i = 0; i < table.num_entries(); ++i) {
+        const BaseRef& ref = table.entry(i).ref(0);
+        keys.insert(catalog_.GetValue(ref.table, ref.row, col));
+      }
+      bytes += 64 + 56 * static_cast<int64_t>(keys.size());
+    }
+    return bytes;
+  };
+  auto build_index = [&](int col) {
+    table.Probe(0, col, Value(int64_t{0}), JoinHashTable::kAllEpochs,
+                [](const CompositeTuple&) {});
+    indexed_cols.insert(col);
+  };
+
+  EXPECT_EQ(table.SizeBytes(), 0);
+  for (RowId r = 0; r < 4; ++r) table.Insert(0, Tuple(r));
+  EXPECT_EQ(table.SizeBytes(), recount());
+  EXPECT_FALSE(table.Insert(1, Tuple(2)));  // duplicate identity: dropped
+  EXPECT_EQ(table.SizeBytes(), recount());
+  build_index(/*grp=*/1);  // two distinct keys over four entries
+  EXPECT_EQ(table.SizeBytes(), recount());
+  for (RowId r = 4; r < 8; ++r) table.Insert(1, Tuple(r));  // maintained
+  EXPECT_EQ(table.SizeBytes(), recount());
+  build_index(/*id=*/0);
+  build_index(/*id=*/0);  // already built: no new overhead
+  EXPECT_EQ(table.SizeBytes(), recount());
+  table.Clear();
+  indexed_cols.clear();
+  EXPECT_EQ(table.SizeBytes(), 0);
+  table.Insert(2, Tuple(5));
+  EXPECT_EQ(table.SizeBytes(), recount());
 }
 
 TEST_F(JoinHashTableTest, CompositeSumTracksScores) {

@@ -199,9 +199,47 @@ TEST(StateManagerTest, RegistryLookupIsTagScoped) {
                        EvictionPolicy::kLruSize);
   JoinHashTable table(&catalog);
   manager.RegisterModuleTable(0, "sigA", &table, nullptr, 100);
-  EXPECT_EQ(manager.FindModuleTable(0, "sigA"), &table);
-  EXPECT_EQ(manager.FindModuleTable(1, "sigA"), nullptr);  // tag scoped
-  EXPECT_EQ(manager.FindModuleTable(0, "sigB"), nullptr);
+  EXPECT_EQ(manager.FullestModuleTable(0, "sigA"), &table);
+  EXPECT_EQ(manager.FullestModuleTable(1, "sigA"), nullptr);  // tag scoped
+  EXPECT_EQ(manager.FullestModuleTable(0, "sigB"), nullptr);
+}
+
+TEST(StateManagerTest, RegistryListsEveryCopy) {
+  Catalog catalog;
+  TableSchema s("t", {{"id", FieldType::kInt},
+                      {"score", FieldType::kDouble}});
+  s.set_score_field(1);
+  TableId tid = catalog.AddTable(std::move(s)).value();
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(catalog.table(tid)
+                    .AddRow({Value(int64_t{i}), Value(0.5)})
+                    .ok());
+  }
+  catalog.FinalizeAll();
+  SourceManager sources(&catalog);
+  StateManager manager(&sources, /*budget=*/1 << 20,
+                       EvictionPolicy::kLruSize);
+  // Three consumer copies of one stream's prefix, drifted apart.
+  JoinHashTable shorter(&catalog), fuller(&catalog), tied(&catalog);
+  for (RowId i = 0; i < 48; ++i) {
+    if (i < 16) shorter.Insert(0, CompositeTuple::ForBase(tid, i, 0.5));
+    fuller.Insert(0, CompositeTuple::ForBase(tid, i, 0.5));
+    tied.Insert(0, CompositeTuple::ForBase(tid, i, 0.5));
+  }
+  manager.RegisterModuleTable(0, "sig", &shorter, nullptr, 1);
+  manager.RegisterModuleTable(0, "sig", &fuller, nullptr, 2);
+  EXPECT_EQ(manager.TotalCacheBytes(),
+            shorter.SizeBytes() + fuller.SizeBytes());
+  EXPECT_EQ(manager.FullestModuleTable(0, "sig"), &fuller);
+
+  // Equally full: the oldest registration wins, and registering a
+  // listed copy again keeps its place.
+  manager.RegisterModuleTable(0, "sig", &tied, nullptr, 3);
+  manager.RegisterModuleTable(0, "sig", &fuller, nullptr, 4);
+  EXPECT_EQ(manager.FullestModuleTable(0, "sig"), &fuller);
+  EXPECT_EQ(manager.TotalCacheBytes(), shorter.SizeBytes() +
+                                           fuller.SizeBytes() +
+                                           tied.SizeBytes());
 }
 
 TEST(StateManagerTest, EnforceBudgetEvictsUnreferencedTables) {

@@ -205,8 +205,6 @@ TEST_F(SourceFixture, SourceManagerSharesByExprAndTag) {
   EXPECT_NE(a, c);  // isolated across scopes
   EXPECT_EQ(mgr.FindStream(e, 0), a);
   EXPECT_EQ(mgr.FindStream(e, 7), nullptr);
-  mgr.DropStream(e.Signature(), 0);
-  EXPECT_EQ(mgr.FindStream(e, 0), nullptr);
   // Probe sources shared the same way.
   Atom sa;
   sa.table = s_;
